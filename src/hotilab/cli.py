@@ -12,9 +12,10 @@ diagnostics), 3 task/solver failure (with a module error payload).
 Outputs are deterministic for a fixed config and seed: CSV floats use a
 fixed format, JSON is written with sorted keys, and the manifest's
 config hash covers exactly the semantically meaningful fields (not the
-output directory or cosmetic names).  Worker threads are used only on
-dense solver paths; the sparse folded solver stays sequential because
-the underlying Lanczos library is not re-entrant.
+output directory or cosmetic names).  ``--workers`` threads split only the
+dense scans: slab momentum grids, and wire band scans whose dimension is
+at most ``dense_cutoff``; every sparse folded (ARPACK) solve runs on the
+calling thread, one momentum after another.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .ktheory import (
 )
 from .models import (
     BUILTIN_MODELS,
+    Assembly,
     Geometry,
     HoppingModel,
     builtin_model,
@@ -68,7 +70,6 @@ from .patterns import (
 )
 from .spectral import (
     band_structure,
-    dense_eigh,
     minimum_bulk_gap,
     near_zero_states,
     wire_regions,
@@ -308,25 +309,18 @@ def _parallel_map(fn, items, workers: int):
 
 
 # ---------------------------------------------------------------------------
-# fast slab scans (layered Bloch assembly; validated against instantiate)
+# slab scans (dense Bloch blocks of the slab's assembly)
 
 
 def slab_bloch(model: HoppingModel, direction: int, depth: int):
-    """h(k_parallel) for a slab, assembled once as inter-layer blocks."""
-    terms = []
-    par = [i for i in range(model.dimension) if i != direction]
-    for delta, w in model.hoppings.items():
-        off = delta[direction]
-        if abs(off) >= depth:
-            continue
-        placement = np.eye(depth, k=-off)
-        terms.append((np.array([delta[i] for i in par], float), np.kron(placement, w)))
+    """h(k_parallel) for a slab: its dense blocks B_delta, summed with phases."""
+    asm = Assembly(model, slab_geometry(model.dimension, direction, depth))
+    blocks = asm.dense_blocks()
 
     def h(kpar):
-        kpar = np.asarray(kpar, dtype=float)
-        out = np.zeros((depth * model.norb,) * 2, dtype=complex)
-        for dpar, block in terms:
-            out += np.exp(1j * float(kpar @ dpar)) * block
+        out = np.zeros((asm.dim, asm.dim), dtype=complex)
+        for amp, block in zip(asm.phases(kpar), blocks):
+            out += amp * block
         return out
 
     return h
@@ -356,13 +350,10 @@ def _momentum_path(nk: int) -> np.ndarray:
 def _task_spectrum(model, geometry, solver, outdir, label, workers):
     momentum = (0.0,) * len(geometry.periodic_dirs)
     ham = instantiate(model, geometry, momentum)
-    nev = min(solver["nev"], ham.dim)
-    if ham.dim <= solver["dense_cutoff"]:
-        vals, vecs = dense_eigh(ham.matrix)
-        order = np.argsort(np.abs(vals), kind="stable")[:nev]
-        vals, vecs = vals[np.sort(order)], vecs[:, np.sort(order)]
-    else:
-        vals, vecs = near_zero_states(ham.matrix, nev, seed=solver["seed"])
+    vals, vecs = near_zero_states(
+        ham.matrix, min(solver["nev"], ham.dim), seed=solver["seed"],
+        dense_cutoff=solver["dense_cutoff"],
+    )
     path = outdir / f"spectrum-{label}.csv"
     part = wire_regions(geometry, model.norb) if len(geometry.open_dirs) >= 2 else None
     if part is not None:
@@ -632,7 +623,7 @@ def _reproduce_model1(outdir, solver, sizes, workers):
         _claim(claims, f"{orient} slab gapless (min|E| < 0.05) at gamma=0", g0 < 0.05, g0)
     wmin = summary[f"bands:ham1-g0.5-wire{sizes['wire']}"]["min_abs_energy"]
     _claim(claims, "wire carries in-gap bands reaching zero energy", wmin < 0.05, wmin)
-    return claims
+    return claims, []
 
 
 def _hinge_claims(claims, model_name, rep: HingeReport, expect):
@@ -671,7 +662,7 @@ def _reproduce_model2(outdir, solver, sizes, workers):
     )
     _write_json(Path(outdir) / "hinge-flow-ham2.json", rep.to_dict())
     _hinge_claims(claims, "ham2", rep, "adjacent-hinge parity equals 1")
-    return claims
+    return claims, list(rep.warnings)
 
 
 def _reproduce_model3(outdir, solver, sizes, workers):
@@ -695,7 +686,7 @@ def _reproduce_model3(outdir, solver, sizes, workers):
         flows[(i + 1) % 4] == -flows[i] for i in range(4)
     )
     _claim(claims, "four hinge channels with alternating unit flows", alternating, list(flows))
-    return claims
+    return claims, list(rep.warnings)
 
 
 def _cube_mode_weights(model, side, nev, seed, outdir, label):
@@ -704,7 +695,7 @@ def _cube_mode_weights(model, side, nev, seed, outdir, label):
     vals, vecs = near_zero_states(ham.matrix, nev, seed=seed)
     part = wire_regions(geo, model.norb)  # four vertical hinge columns
     weights = part.weights(vecs)
-    sites = np.array(geo.sites())
+    sites = geo.site_array()
     near = np.minimum(sites, side - 1 - sites) <= 2
     edge_mask = near.sum(axis=1) >= 2  # within two sites of a cube edge
     dens = (np.abs(vecs) ** 2).reshape(len(sites), model.norb, -1).sum(axis=1)
@@ -756,7 +747,7 @@ def _reproduce_hinge_modes(outdir, solver, sizes, workers):
         claims, "ham3 weight appears on every vertical hinge (each > 0.05)",
         spread > 0.05, spread,
     )
-    return claims
+    return claims, []
 
 
 def _reproduce_chiral_quarter(outdir, solver, sizes, workers):
@@ -779,11 +770,12 @@ def _reproduce_chiral_quarter(outdir, solver, sizes, workers):
     )
     fli = face_layer_index(sizes["quarter"])
     _claim(claims, "face-generator boundary layer has total index -2", fli == -2, fli)
-    return claims
+    return claims, list(rep.warnings)
 
 
 def reproduce(rid: str, out_dir, workers: int = 1, solver=None, sizes=None) -> dict:
-    """Run a canned desk-scale data set; returns the PASS/FAIL summary."""
+    """Run a canned desk-scale data set; returns the PASS/FAIL summary,
+    including the warnings of any hinge-flow or corner report it made."""
     if rid not in REPRODUCE_IDS:
         _fail("reproduce", f"unknown id {rid!r}; have {', '.join(REPRODUCE_IDS)}")
     outdir = Path(out_dir)
@@ -798,10 +790,11 @@ def reproduce(rid: str, out_dir, workers: int = 1, solver=None, sizes=None) -> d
         "chiral-quarter": _reproduce_chiral_quarter,
     }[rid]
     t0 = time.perf_counter()
-    claims = runner(outdir, solver, sizes, workers)
+    claims, warnings = runner(outdir, solver, sizes, workers)
     summary = {
         "id": rid,
         "claims": claims,
+        "warnings": warnings,
         "passed": all(c["ok"] for c in claims),
         "wall_time": round(time.perf_counter() - t0, 3),
         "seed": solver["seed"],
@@ -911,6 +904,8 @@ def _cmd_reproduce(args) -> int:
         return 3
     for c in summary["claims"]:
         print(f"{'PASS' if c['ok'] else 'FAIL'}: {c['claim']} (value: {c['value']})")
+    for w in summary["warnings"]:
+        print(f"WARN: {w}")
     print(f"summary written to {out}/summary.json")
     return 0
 

@@ -33,7 +33,6 @@ __all__ = [
     "subquotient",
     "describe",
     "free_group",
-    "trivial_group",
     "zero_map",
 ]
 
@@ -368,10 +367,6 @@ def describe(canonical: tuple[int, tuple[int, ...]]) -> str:
 
 def free_group(n: int, labels=None) -> FGAbelianGroup:
     return FGAbelianGroup(n, izeros(n, 0), tuple(labels) if labels else None)
-
-
-def trivial_group() -> FGAbelianGroup:
-    return FGAbelianGroup(0, izeros(0, 0))
 
 
 # ---------------------------------------------------------------------------

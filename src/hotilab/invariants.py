@@ -16,12 +16,10 @@ from itertools import product
 import numpy as np
 import scipy.optimize
 
-from .models import Geometry, HoppingModel, instantiate, quarter_geometry, slab_geometry, wire_geometry
-from .patterns import half_space
+from .models import Assembly, HoppingModel, instantiate, quarter_geometry, slab_geometry, wire_geometry
 from .spectral import (
     _disentangle_clusters,
     corner_regions,
-    dense_eigh,
     near_zero_states,
     spectral_norm_bound,
     wire_regions,
@@ -238,9 +236,9 @@ def _edge_gap(model: HoppingModel, depth: int, nk: int = 41) -> float:
     """Min |E| over both half-space edge spectra (momentum along the edge)."""
     gap = np.inf
     for direction in range(2):
-        geo = slab_geometry(2, direction, depth)
+        asm = Assembly(model, slab_geometry(2, direction, depth))
         for k in np.linspace(-np.pi, np.pi, nk):
-            h = instantiate(model, geo, (k,)).dense()
+            h = asm.matrix((k,)).toarray()
             gap = min(gap, float(np.min(np.abs(np.linalg.eigvalsh(h)))))
     return gap
 
@@ -279,10 +277,8 @@ def corner_index(
     vals, vecs = near_zero_states(ham.matrix, nev, seed=seed)
     part = corner_regions(geo, model.norb)
     vecs = _disentangle_clusters(vals, vecs, part)
-    box_diag = np.zeros(vecs.shape[0])
-    for i, x in enumerate(geo.sites()):
-        if x[0] < 4 and x[1] < 4:
-            box_diag[i * model.norb:(i + 1) * model.norb] = 1.0
+    sites = geo.site_array()
+    box_diag = np.repeat(((sites[:, 0] < 4) & (sites[:, 1] < 4)).astype(float), model.norb)
     zero = np.abs(vals) <= zero_tol * scale
     band = (np.abs(vals) > zero_tol * scale) & (np.abs(vals) <= 100 * zero_tol * scale)
     if np.any(band):
@@ -294,9 +290,7 @@ def corner_index(
         warnings.append("window filled with zero modes; counts may be partial")
     weights = part.weights(vecs)
     corner_row = part.names.index("corner")
-    gamma_diag = np.concatenate(
-        [np.real(np.diag(model.chirality))] * len(geo.sites())
-    )
+    gamma_diag = np.tile(np.real(np.diag(model.chirality)), len(sites))
     keep = zero & (weights[corner_row] > weight_threshold)
     kept_vecs = vecs[:, keep]
     gamma_vals = np.real(
@@ -330,36 +324,19 @@ def face_layer_index(side: int = 24, box: int = 4) -> int:
     import scipy.sparse as sp
 
     L = side
+    x, y = quarter_geometry(L).site_array().T  # site index x * L + y
     n = L * L
-
-    def site(x, y):
-        return x * L + y
-
-    rows, cols = [], []
-    for x in range(L):
-        for y in range(L):
-            if y == 0:
-                if x + 1 < L:
-                    rows.append(site(x + 1, 0))
-                    cols.append(site(x, 0))
-            elif x == 0:
-                if y + 1 < L:
-                    rows.append(site(0, y + 1))
-                    cols.append(site(0, y))
-            else:
-                rows.append(site(x, y))
-                cols.append(site(x, y))
+    s = np.arange(n)
+    # bottom row steps +x (site + L), left column steps +y (site + 1)
+    target = np.where(y == 0, s + L, np.where(x == 0, s + 1, s))
+    keep = np.where(y == 0, x + 1 < L, (x > 0) | (y + 1 < L))
     v = sp.coo_matrix(
-        (np.ones(len(rows)), (rows, cols)), shape=(n, n)
+        (np.ones(int(keep.sum())), (target[keep], s[keep])), shape=(n, n)
     ).tocsr()
     h = sp.bmat([[None, v.conj().T], [v, None]], format="csr")
     vals, vecs = near_zero_states(h, 8, dense_cutoff=4096)
     zero = np.abs(vals) <= 1e-10
-    box_diag = np.zeros(2 * n)
-    for x in range(min(box, L)):
-        for y in range(min(box, L)):
-            box_diag[site(x, y)] = 1.0
-            box_diag[n + site(x, y)] = 1.0
+    box_diag = np.tile(((x < box) & (y < box)).astype(float), 2)
     # the kernel is degenerate across near and far corners: rotate it to
     # diagonalize the box projector so the filter sees unmixed modes
     z = vecs[:, zero]
@@ -425,11 +402,11 @@ def hinge_spectral_flow(
     # fourfold-rotation models) land strictly inside a segment instead of on
     # a sample, where their sign is numerical noise.
     ks = -np.pi + (np.arange(nk) + 0.5) * (2.0 * np.pi / nk)
+    asm = Assembly(model, geo)
     all_vals, all_vecs, all_weights = [], [], []
     for k in ks:
-        ham = instantiate(model, geo, (k,))
         vals, vecs = near_zero_states(
-            ham.matrix, window, seed=seed, dense_cutoff=dense_cutoff
+            asm.matrix((k,)), window, seed=seed, dense_cutoff=dense_cutoff
         )
         vecs = _disentangle_clusters(vals, vecs, part)
         all_vals.append(vals)

@@ -28,7 +28,6 @@ alpha is implicitly the identity (the filtration has stabilized).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -843,13 +842,3 @@ def cofiltration_from_dict(data: dict) -> CofiltrationData:
     return CofiltrationData(
         int(data["length"]), strata, boundary, second_order=second, name=data.get("name", "")
     )
-
-
-def _json_default(obj):  # pragma: no cover - convenience for np ints
-    if isinstance(obj, np.integer):
-        return int(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def report_json(cd: CofiltrationData, **kwargs) -> str:
-    return json.dumps(couple_report(cd, **kwargs), indent=2, default=_json_default)

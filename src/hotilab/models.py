@@ -3,14 +3,17 @@
 A hopping model is a finite displacement-indexed family of orbital matrices
 w(delta) with w(-delta) = w(delta)^dagger.  Geometries pair a lattice pattern
 with per-direction extents (open directions) and momentum directions
-(periodic ones); instantiation truncates hops that leave the site set (open
-boundary) and attaches Bloch phases along the periodic directions.
+(periodic ones).  Every real-space matrix comes from one ``Assembly`` per
+(model, geometry): the hops that stay on the site set (open truncation),
+found once by index arithmetic on the site array, and summed with Bloch
+phases along the periodic directions as H(k) = sum_delta e^{ik.delta} B_delta
+at each momentum.  ``instantiate`` is the one-momentum form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+import math
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,6 +24,7 @@ __all__ = [
     "HoppingModel",
     "Geometry",
     "RealSpaceHamiltonian",
+    "Assembly",
     "builtin_model",
     "BUILTIN_MODELS",
     "bulk_geometry",
@@ -130,18 +134,22 @@ class Geometry:
     def open_dirs(self) -> tuple[int, ...]:
         return tuple(i for i, L in enumerate(self.extents) if L is not None)
 
+    def site_array(self) -> np.ndarray:
+        """(#sites, dimension) array of pattern sites inside the box,
+        lexicographic over open coordinates (0 in periodic ones)."""
+        opens = list(self.open_dirs)
+        shape = [int(self.extents[i]) for i in opens]
+        grid = np.indices(shape, dtype=np.int64).reshape(len(opens), math.prod(shape))
+        sites = np.zeros((grid.shape[1], self.dimension), dtype=np.int64)
+        sites[:, opens] = grid.T
+        keep = np.ones(len(sites), dtype=bool)
+        for normal, bound in self.pattern.constraints:
+            keep &= sites @ np.array(normal, dtype=np.int64) >= bound
+        return sites[keep]
+
     def sites(self) -> list[tuple[int, ...]]:
         """Pattern sites inside the box, lexicographic over open coordinates."""
-        opens = self.open_dirs
-        ranges = [range(int(self.extents[i])) for i in opens]
-        out = []
-        for coords in product(*ranges):
-            x = [0] * self.dimension
-            for i, c in zip(opens, coords):
-                x[i] = c
-            if self.pattern.contains(x):
-                out.append(tuple(x))
-        return out
+        return [tuple(x) for x in self.site_array().tolist()]
 
 
 def bulk_geometry(dimension: int) -> Geometry:
@@ -177,7 +185,7 @@ def cube_geometry(side: int) -> Geometry:
 
 
 # ---------------------------------------------------------------------------
-# real-space instantiation
+# real-space assembly
 
 @dataclass
 class RealSpaceHamiltonian:
@@ -193,11 +201,86 @@ class RealSpaceHamiltonian:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def site_of_index(self, idx: int) -> tuple[int, ...]:
-        return self.sites[idx // self.model.norb]
-
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
+
+
+class Assembly:
+    """The hops of ``model`` that stay on the sites of ``geometry``.
+
+    Built once per (model, geometry); independent of momentum.  Entry i
+    adds values[i] e^{ik.delta} to <rows[i]| H(k) |cols[i]>, where delta is
+    hopping ``hop[i]`` of ``model.hoppings`` restricted to the periodic
+    directions.  Entries run over sites x hoppings x orbital pairs
+    (convention <y,a| H |x,b> = w(y - x)_{ab}), so repeated entries, from
+    hops that move only along periodic directions, are summed in that
+    order.  Hops leaving the site set are dropped (sharp boundary).
+    """
+
+    def __init__(self, model: HoppingModel, geometry: Geometry):
+        if model.dimension != geometry.dimension:
+            raise ValueError("model/geometry dimension mismatch")
+        ranges = model.range_per_direction()
+        for i in geometry.open_dirs:
+            need = 2 * ranges[i] + 1
+            if int(geometry.extents[i]) < need:
+                raise ValueError(
+                    f"extent {geometry.extents[i]} along direction {i} is below "
+                    f"the minimum {need} = 2*range+1 for this model"
+                )
+        n = model.norb
+        opens = list(geometry.open_dirs)
+        shape = [int(geometry.extents[i]) for i in opens]
+        strides = np.array(
+            [math.prod(shape[i + 1:]) for i in range(len(shape))], dtype=np.int64
+        )
+        sites = geometry.site_array()
+        lookup = np.full(math.prod(shape), -1, dtype=np.int64)  # box -> site
+        lookup[sites[:, opens] @ strides] = np.arange(len(sites))
+        deltas = np.array(list(model.hoppings), dtype=np.int64).reshape(-1, model.dimension)
+        w = np.array(list(model.hoppings.values()), dtype=complex).reshape(-1, n, n)
+        target = sites[:, None, opens] + deltas[None, :, opens]
+        inside = np.all((target >= 0) & (target < np.array(shape, dtype=np.int64)), axis=-1)
+        ti = np.full(inside.shape, -1, dtype=np.int64)
+        ti[inside] = lookup[target[inside] @ strides]
+        si, hop, a, b = np.nonzero((ti >= 0)[:, :, None, None] & (w != 0))
+        self.dim = len(sites) * n
+        self.rows = ti[si, hop] * n + a
+        self.cols = si * n + b
+        self.hop = hop
+        self.values = w[hop, a, b]
+        self.periodic_deltas = deltas[:, list(geometry.periodic_dirs)]
+
+    def phases(self, momentum) -> np.ndarray:
+        """e^{ik.delta} per hopping; one momentum entry per periodic
+        direction, ascending."""
+        momentum = tuple(float(x) for x in momentum)
+        if len(momentum) != self.periodic_deltas.shape[1]:
+            raise ValueError(
+                f"need {self.periodic_deltas.shape[1]} momentum components, "
+                f"got {len(momentum)}"
+            )
+        phase = np.zeros(len(self.periodic_deltas))
+        for kj, dj in zip(momentum, self.periodic_deltas.T):
+            phase = phase + kj * dj
+        return np.exp(1j * phase)
+
+    def matrix(self, momentum=()) -> sp.csr_matrix:
+        """Sparse hermitian H(k)."""
+        vals = self.values * self.phases(momentum)[self.hop]
+        mat = sp.coo_matrix(
+            (vals, (self.rows, self.cols)), shape=(self.dim, self.dim)
+        ).tocsr()
+        herm_defect = abs(mat - mat.conj().T).max() if self.dim else 0.0
+        if herm_defect > 1e-9:
+            raise AssertionError(f"assembled matrix not hermitian ({herm_defect})")
+        return mat
+
+    def dense_blocks(self) -> np.ndarray:
+        """B_delta as dense (dim, dim) arrays, one per hopping of the model."""
+        out = np.zeros((len(self.periodic_deltas), self.dim, self.dim), dtype=complex)
+        out[self.hop, self.rows, self.cols] = self.values
+        return out
 
 
 def instantiate(
@@ -209,57 +292,10 @@ def instantiate(
     directions contribute Bloch phases from ``momentum`` (one entry per
     periodic direction, ascending).
     """
-    if model.dimension != geometry.dimension:
-        raise ValueError("model/geometry dimension mismatch")
-    per = geometry.periodic_dirs
+    asm = Assembly(model, geometry)
+    mat = asm.matrix(momentum)
     momentum = tuple(float(x) for x in momentum)
-    if len(momentum) != len(per):
-        raise ValueError(
-            f"need {len(per)} momentum components, got {len(momentum)}"
-        )
-    ranges = model.range_per_direction()
-    for i in geometry.open_dirs:
-        need = 2 * ranges[i] + 1
-        if int(geometry.extents[i]) < need:
-            raise ValueError(
-                f"extent {geometry.extents[i]} along direction {i} is below "
-                f"the minimum {need} = 2*range+1 for this model"
-            )
-    sites = geometry.sites()
-    index = {x: i for i, x in enumerate(sites)}
-    n = model.norb
-    kvec = dict(zip(per, momentum))
-
-    rows, cols, vals = [], [], []
-    for si, x in enumerate(sites):
-        for delta, w in model.hoppings.items():
-            y = list(x)
-            phase = 0.0
-            for j, dj in enumerate(delta):
-                if j in kvec:
-                    phase += kvec[j] * dj
-                else:
-                    y[j] += dj
-            ti = index.get(tuple(y))
-            if ti is None:
-                continue  # open truncation
-            amp = np.exp(1j * phase)
-            for a in range(n):
-                for b in range(n):
-                    v = w[a, b] * amp
-                    if v != 0:
-                        # convention: <y,a| H |x,b> = w(delta)_{ab}
-                        rows.append(ti * n + a)
-                        cols.append(si * n + b)
-                        vals.append(v)
-    dim = len(sites) * n
-    mat = sp.coo_matrix(
-        (np.array(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
-    ).tocsr()
-    herm_defect = abs(mat - mat.conj().T).max() if dim else 0.0
-    if herm_defect > 1e-9:
-        raise AssertionError(f"assembled matrix not hermitian ({herm_defect})")
-    return RealSpaceHamiltonian(geometry, model, momentum, sites, mat)
+    return RealSpaceHamiltonian(geometry, model, momentum, geometry.sites(), mat)
 
 
 # ---------------------------------------------------------------------------

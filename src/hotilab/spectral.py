@@ -4,8 +4,11 @@ Two routes to spectra: dense diagonalization (small matrices, canonically
 phase-fixed) and a folded sparse solver that targets the eigenvalues of H
 nearest zero by running ARPACK on H^2 with a seeded start vector, then
 recovering signs and refined vectors from a Ritz step in the recovered
-subspace.  Band scans attach per-region spatial weights, disentangling
-degenerate clusters so weights are stable under basis ambiguity.
+subspace; ``near_zero_states`` alone chooses between them.  Band scans build
+a model's assembly once and evaluate it per momentum, and attach per-region
+spatial weights (regions are masks on the geometry's site array),
+disentangling degenerate clusters so weights are stable under basis
+ambiguity.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .models import Geometry, HoppingModel, RealSpaceHamiltonian, instantiate
+from .models import Assembly, Geometry, HoppingModel
 
 __all__ = [
     "DENSE_DIM_CAP",
@@ -93,10 +96,10 @@ def folded_near_zero(
     h = sp.csr_matrix(h)
     n = h.shape[0]
     if nev >= n - 1:
-        vals, vecs = dense_eigh(h)
-        order = np.argsort(np.abs(vals), kind="stable")[:nev]
-        order = order[np.argsort(vals[order], kind="stable")]
-        return vals[order], vecs[:, order]
+        raise ValueError(
+            f"folded solver needs nev < n - 1 (nev {nev}, n {n}); "
+            "near_zero_states routes such cases to the dense solver"
+        )
     scale = max(spectral_norm_bound(h), 1e-30)
     hsq = (h @ h).tocsc()
     rng = np.random.default_rng(seed)
@@ -130,7 +133,8 @@ def folded_near_zero(
 def near_zero_states(
     h, nev: int, seed: int = 0, dense_cutoff: int = 2048
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Route to dense or folded solver by dimension; same contract."""
+    """The one dense/folded router: dense up to ``dense_cutoff`` (or when
+    nearly the whole spectrum is asked for), folded above; same contract."""
     n = h.shape[0]
     if n <= dense_cutoff or nev >= n - 1:
         vals, vecs = dense_eigh(h)
@@ -153,8 +157,8 @@ class RegionPartition:
 
     def projector_diagonal(self, name: str, dim: int) -> np.ndarray:
         d = np.zeros(dim)
-        for s in self.site_indices[name]:
-            d[s * self.norb:(s + 1) * self.norb] = 1.0
+        sites = np.asarray(self.site_indices[name], dtype=np.int64)
+        d[(sites[:, None] * self.norb + np.arange(self.norb)).ravel()] = 1.0
         return d
 
     def weights(self, vecs: np.ndarray) -> np.ndarray:
@@ -167,10 +171,6 @@ class RegionPartition:
         return out
 
 
-def _region_from_mask(sites, mask) -> np.ndarray:
-    return np.array([i for i, x in enumerate(sites) if mask(x)], dtype=int)
-
-
 def wire_regions(geometry: Geometry, norb: int) -> RegionPartition:
     """Four hinge squares (side ceil(L/4)), four faces, interior.
 
@@ -180,55 +180,34 @@ def wire_regions(geometry: Geometry, norb: int) -> RegionPartition:
     d1, d2 = geometry.open_dirs[:2]
     L1, L2 = int(geometry.extents[d1]), int(geometry.extents[d2])
     c1, c2 = ceil(L1 / 4), ceil(L2 / 4)
-    sites = geometry.sites()
-
-    def lo1(x):
-        return x[d1] < c1
-
-    def hi1(x):
-        return x[d1] >= L1 - c1
-
-    def lo2(x):
-        return x[d2] < c2
-
-    def hi2(x):
-        return x[d2] >= L2 - c2
-
-    regions = {
-        "hinge1": _region_from_mask(sites, lambda x: lo1(x) and lo2(x)),
-        "hinge2": _region_from_mask(sites, lambda x: hi1(x) and lo2(x)),
-        "hinge3": _region_from_mask(sites, lambda x: hi1(x) and hi2(x)),
-        "hinge4": _region_from_mask(sites, lambda x: lo1(x) and hi2(x)),
-        "face1": _region_from_mask(sites, lambda x: lo2(x) and not lo1(x) and not hi1(x)),
-        "face2": _region_from_mask(sites, lambda x: hi1(x) and not lo2(x) and not hi2(x)),
-        "face3": _region_from_mask(sites, lambda x: hi2(x) and not lo1(x) and not hi1(x)),
-        "face4": _region_from_mask(sites, lambda x: lo1(x) and not lo2(x) and not hi2(x)),
+    sites = geometry.site_array()
+    lo1, hi1 = sites[:, d1] < c1, sites[:, d1] >= L1 - c1
+    lo2, hi2 = sites[:, d2] < c2, sites[:, d2] >= L2 - c2
+    masks = {
+        "hinge1": lo1 & lo2,
+        "hinge2": hi1 & lo2,
+        "hinge3": hi1 & hi2,
+        "hinge4": lo1 & hi2,
+        "face1": lo2 & ~lo1 & ~hi1,
+        "face2": hi1 & ~lo2 & ~hi2,
+        "face3": hi2 & ~lo1 & ~hi1,
+        "face4": lo1 & ~lo2 & ~hi2,
     }
-    used = set()
-    for idx in regions.values():
-        used.update(int(i) for i in idx)
-    regions["interior"] = np.array(
-        [i for i in range(len(sites)) if i not in used], dtype=int
-    )
-    names = tuple(regions)
-    return RegionPartition(names, regions, norb)
+    masks["interior"] = ~np.logical_or.reduce(list(masks.values()))
+    regions = {name: np.flatnonzero(m) for name, m in masks.items()}
+    return RegionPartition(tuple(regions), regions, norb)
 
 
 def corner_regions(geometry: Geometry, norb: int) -> RegionPartition:
     """Quadrant split of a finite box; ``corner`` is the quadrant at the
     origin corner (where two pattern boundaries meet)."""
-    opens = geometry.open_dirs
-    sites = geometry.sites()
-    halves = {i: int(geometry.extents[i]) / 2.0 for i in opens}
-
-    def quadrant(x):
-        return tuple(int(x[i] >= halves[i]) for i in opens)
-
-    quads = sorted({quadrant(x) for x in sites})
+    opens = list(geometry.open_dirs)
+    halves = np.array([int(geometry.extents[i]) / 2.0 for i in opens])
+    quadrant = (geometry.site_array()[:, opens] >= halves).astype(int)
     regions = {}
-    for q in quads:
-        label = "corner" if all(c == 0 for c in q) else "quad" + "".join(map(str, q))
-        regions[label] = _region_from_mask(sites, lambda x, q=q: quadrant(x) == q)
+    for q in np.unique(quadrant, axis=0):
+        label = "corner" if not q.any() else "quad" + "".join(map(str, q))
+        regions[label] = np.flatnonzero((quadrant == q).all(axis=1))
     return RegionPartition(tuple(regions), regions, norb)
 
 
@@ -286,15 +265,16 @@ def band_structure(
     """Spectrum along a momentum list; ``window`` keeps only that many
     states nearest zero energy (folded solver route for large systems)."""
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
+    asm = Assembly(model, geometry)
     energies = []
     weights = [] if partition is not None else None
     for k in momenta:
-        ham = instantiate(model, geometry, tuple(k))
+        h = asm.matrix(k)
         if window is None:
-            vals, vecs = dense_eigh(ham.matrix)
+            vals, vecs = dense_eigh(h)
         else:
             vals, vecs = near_zero_states(
-                ham.matrix, window, seed=seed, dense_cutoff=dense_cutoff
+                h, window, seed=seed, dense_cutoff=dense_cutoff
             )
         if partition is not None:
             vecs = _disentangle_clusters(vals, vecs, partition)

@@ -5,10 +5,13 @@ live in the acceptance suite.
 """
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hotilab import cli, spectral
 from hotilab.cli import (
     ConfigError,
     config_hash,
@@ -18,7 +21,10 @@ from hotilab.cli import (
     slab_bloch,
     validate_config,
 )
+from hotilab.invariants import CornerReport, HingeReport
 from hotilab.models import builtin_model, instantiate, slab_geometry
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def tiny_config(**overrides):
@@ -137,6 +143,21 @@ def test_rerun_is_bit_identical(tmp_path):
     ha = json.loads((tmp_path / "a" / "manifest.json").read_text())["config_hash"]
     hb = json.loads((tmp_path / "b" / "manifest.json").read_text())["config_hash"]
     assert ha == hb
+
+
+def test_spectrum_task_takes_folded_route_above_dense_cutoff(tmp_path, monkeypatch):
+    dims = []
+    folded = spectral.folded_near_zero
+
+    def spy(h, nev, **kwargs):
+        dims.append(h.shape[0])
+        return folded(h, nev, **kwargs)
+
+    monkeypatch.setattr(spectral, "folded_near_zero", spy)
+    cfg = validate_config(tiny_config(tasks=["spectrum"], solver={"nev": 4, "dense_cutoff": 64}))
+    summary = run_config(cfg, tmp_path)
+    assert dims == [6 * 6 * 4]  # wire side 6, four orbitals
+    assert summary["spectrum:ham1-g0.5-wire6"]["states"] == 4
 
 
 def test_workers_do_not_change_band_output(tmp_path):
@@ -266,3 +287,44 @@ def test_reproduce_model1_small_claim_shape(tmp_path):
     assert (tmp_path / "manifest.json").exists()
     gapless = [c for c in summary["claims"] if "gapless" in c["claim"]]
     assert all(c["ok"] for c in gapless)  # surface Dirac cones at gamma=0
+
+
+def _stub_corner_report(model, side, nev, seed):
+    return CornerReport(
+        index=1, zero_energies=np.zeros(1), corner_weights=np.ones(1),
+        box_weights=np.ones(1), chirality_values=np.ones(1), edge_gap=1.0,
+        warnings=["stub corner warning"],
+    )
+
+
+def _stub_hinge_report(model, **kwargs):
+    flows = {"hinge1": 1, "hinge2": -1, "hinge3": 1, "hinge4": -1}
+    return HingeReport(
+        flows=flows, kirchhoff_sum=0, crossings=[], momenta=np.zeros(1),
+        energies=np.zeros((1, 1)), warnings=["stub hinge warning"],
+    )
+
+
+@pytest.mark.parametrize("rid, target, stub, text", [
+    ("chiral-quarter", "corner_index", _stub_corner_report, "stub corner warning"),
+    ("model3", "hinge_spectral_flow", _stub_hinge_report, "stub hinge warning"),
+])
+def test_reproduce_surfaces_report_warnings(tmp_path, monkeypatch, capsys, rid, target, stub, text):
+    monkeypatch.setattr(cli, target, stub)
+    argv = ["reproduce", rid, "--size", "12", "--grid", "5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["warnings"] == [text]
+    assert f"WARN: {text}" in capsys.readouterr().out.splitlines()
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    """Every ``hoti-lab`` line of the README, at a small size and grid."""
+    monkeypatch.chdir(ROOT)
+    lines = (ROOT / "README.md").read_text().splitlines()
+    commands = [shlex.split(x)[1:] for x in lines if x.startswith("hoti-lab ")]
+    assert {c[0] for c in commands} == {"run", "reproduce", "kss", "transversal", "check-symmetry"}
+    for i, argv in enumerate(commands):
+        # a later --out overrides the README's own
+        argv += ["--size", "8", "--grid", "5", "--out", str(tmp_path / str(i))]
+        assert main(argv) == 0, argv

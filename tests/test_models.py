@@ -1,10 +1,14 @@
 """Hopping models: Bloch matrices, real-space assembly, built-ins."""
 
+from itertools import product
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hotilab.models import (
     BUILTIN_MODELS,
+    Assembly,
     Geometry,
     HoppingModel,
     builtin_model,
@@ -165,3 +169,86 @@ def test_model_json_roundtrip():
 def test_unknown_builtin_rejected():
     with pytest.raises(KeyError):
         builtin_model("nope")
+
+
+# ---------------------------------------------------------------------------
+# assembly oracle: one entry at a time over sites x hoppings x orbital pairs
+
+def _loop_sites(geometry):
+    """Pattern sites inside the box, lexicographic over open coordinates."""
+    opens = geometry.open_dirs
+    out = []
+    for coords in product(*[range(int(geometry.extents[i])) for i in opens]):
+        x = [0] * geometry.dimension
+        for i, c in zip(opens, coords):
+            x[i] = c
+        if geometry.pattern.contains(x):
+            out.append(tuple(x))
+    return out
+
+
+def _loop_instantiate(model, geometry, momentum):
+    """Sites x hoppings x orbital pairs, one entry at a time."""
+    sites = _loop_sites(geometry)
+    index = {x: i for i, x in enumerate(sites)}
+    n = model.norb
+    kvec = dict(zip(geometry.periodic_dirs, (float(x) for x in momentum)))
+    rows, cols, vals = [], [], []
+    for si, x in enumerate(sites):
+        for delta, w in model.hoppings.items():
+            y = list(x)
+            phase = 0.0
+            for j, dj in enumerate(delta):
+                if j in kvec:
+                    phase += kvec[j] * dj
+                else:
+                    y[j] += dj
+            ti = index.get(tuple(y))
+            if ti is None:
+                continue  # open truncation
+            amp = np.exp(1j * phase)
+            for a in range(n):
+                for b in range(n):
+                    v = w[a, b] * amp
+                    if v != 0:
+                        # convention: <y,a| H |x,b> = w(delta)_{ab}
+                        rows.append(ti * n + a)
+                        cols.append(si * n + b)
+                        vals.append(v)
+    dim = len(sites) * n
+    return sites, sp.coo_matrix(
+        (np.array(vals, dtype=complex), (rows, cols)), shape=(dim, dim)
+    ).tocsr()
+
+
+def _every_geometry(dimension):
+    geos = [bulk_geometry(dimension)]
+    geos += [slab_geometry(dimension, j, 5) for j in range(dimension)]
+    if dimension == 3:
+        geos += [wire_geometry(3, 6), cube_geometry(4), quarter_geometry(6, 3)]
+    else:
+        geos += [quarter_geometry(7)]
+    return geos
+
+
+@pytest.mark.parametrize("name", BUILTIN_MODELS)
+def test_instantiate_equals_loop_oracle_exactly(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    m = builtin_model(name)
+    for geo in _every_geometry(m.dimension):
+        for _ in range(3):
+            k = tuple(rng.uniform(-np.pi, np.pi, len(geo.periodic_dirs)))
+            ham = instantiate(m, geo, k)
+            sites, ref = _loop_instantiate(m, geo, k)
+            assert ham.sites == sites
+            assert ham.matrix.shape == ref.shape and (ham.matrix != ref).nnz == 0
+
+
+def test_one_assembly_serves_every_momentum():
+    m = builtin_model("ham2")
+    geo = wire_geometry(3, 5)
+    asm = Assembly(m, geo)
+    for k in (-2.1, 0.0, 0.4):
+        assert (asm.matrix((k,)) != _loop_instantiate(m, geo, (k,))[1]).nnz == 0
+    with pytest.raises(ValueError, match="momentum"):
+        asm.matrix(())

@@ -6,6 +6,7 @@ import scipy.sparse as sp
 
 from hotilab.models import (
     builtin_model,
+    cube_geometry,
     instantiate,
     quarter_geometry,
     slab_geometry,
@@ -78,6 +79,45 @@ def test_near_zero_routing_consistent():
     a = near_zero_states(h, 6, dense_cutoff=10_000)[0]  # dense route
     b = near_zero_states(h, 6, dense_cutoff=10)[0]      # folded route
     assert np.max(np.abs(a - b)) < RTOL
+
+
+def test_folded_rejects_nearly_full_spectrum():
+    h = _wire_ham(side=3)  # dimension 36
+    with pytest.raises(ValueError, match="near_zero_states"):
+        folded_near_zero(h, 35)
+    vals, _ = near_zero_states(h, 35, dense_cutoff=1)  # routed to dense
+    assert len(vals) == 35
+
+
+def test_regions_match_per_site_loop():
+    from math import ceil
+
+    for geo in (wire_geometry(3, 7), wire_geometry(3, 8), cube_geometry(5)):
+        L = int(geo.extents[0])
+        c = ceil(L / 4)
+        sites = geo.sites()
+        part = wire_regions(geo, norb=2)
+        lo = [lambda x, i=i: x[i] < c for i in (0, 1)]
+        hi = [lambda x, i=i: x[i] >= L - c for i in (0, 1)]
+        masks = {
+            "hinge1": lambda x: lo[0](x) and lo[1](x),
+            "hinge2": lambda x: hi[0](x) and lo[1](x),
+            "hinge3": lambda x: hi[0](x) and hi[1](x),
+            "hinge4": lambda x: lo[0](x) and hi[1](x),
+            "face1": lambda x: lo[1](x) and not lo[0](x) and not hi[0](x),
+            "face2": lambda x: hi[0](x) and not lo[1](x) and not hi[1](x),
+            "face3": lambda x: hi[1](x) and not lo[0](x) and not hi[0](x),
+            "face4": lambda x: lo[0](x) and not lo[1](x) and not hi[1](x),
+        }
+        masks["interior"] = lambda x: not any(m(x) for m in list(masks.values())[:8])
+        assert part.names == tuple(masks)
+        for name, mask in masks.items():
+            ref = [i for i, x in enumerate(sites) if mask(x)]
+            assert part.site_indices[name].tolist() == ref
+            diag = np.zeros(2 * len(sites))
+            for i in ref:
+                diag[2 * i:2 * i + 2] = 1.0
+            assert np.array_equal(part.projector_diagonal(name, len(diag)), diag)
 
 
 def test_wire_region_partition_counts():
