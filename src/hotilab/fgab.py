@@ -314,23 +314,7 @@ class FGAbelianGroup:
     def canonical(self) -> tuple[int, tuple[int, ...]]:
         return (self.rank, self.torsion)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
-    def invariant_factors(self) -> tuple[int, ...]:
-        """Nontrivial invariant factors d1 | d2 | ... (0 entries = free ranks)."""
-        return self.torsion + (0,) * self.rank
-
     # -- elements ----------------------------------------------------------
-    def zero(self) -> np.ndarray:
-        return izeros(self.ngens, 1)[:, 0]
-
-    def gen(self, i: int) -> np.ndarray:
-        e = self.zero()
-        e[i] = 1
-        return e
-
     def reduce(self, x) -> np.ndarray:
         """Canonical coset representative of ``x``."""
         u, d, _ = self._snf

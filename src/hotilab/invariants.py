@@ -18,12 +18,15 @@ import scipy.optimize
 
 from .models import Assembly, HoppingModel, instantiate, quarter_geometry, slab_geometry, wire_geometry
 from .spectral import (
+    RESIDUAL_FACTOR,
     _disentangle_clusters,
+    _fix_phases,
     corner_regions,
     near_zero_states,
     spectral_norm_bound,
     wire_regions,
 )
+from .symmetry import momentum_reversal
 
 __all__ = [
     "INTEGER_TOL",
@@ -364,6 +367,8 @@ class HingeReport:
     momenta: np.ndarray
     energies: np.ndarray
     warnings: list[str] = field(default_factory=list)
+    k_reversal: str | None = None  # symmetry element that filled the -k half
+    solved_momenta: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -371,6 +376,8 @@ class HingeReport:
             "kirchhoff_sum": self.kirchhoff_sum,
             "crossings": list(self.crossings),
             "warnings": list(self.warnings),
+            "k_reversal": self.k_reversal,
+            "solved_momenta": self.solved_momenta,
         }
 
 
@@ -393,6 +400,14 @@ def hinge_spectral_flow(
     only locally (never chaining across the whole loop) keeps the count
     immune to states drifting in and out of the solver window far from
     zero.  The Kirchhoff sum of all flows is reported, not assumed.
+
+    When a built-in symmetry element of the model maps H(k) onto H(-k) on
+    the wire (``symmetry.momentum_reversal``), only the first ceil(nk/2)
+    momenta of the grid, which is symmetric about k = 0, are solved; the
+    window at -k is the mapped window at k, with the same energies, and
+    each mapped pair must pass the residual check of the folded solver
+    against H(-k) or the scan raises.  Without such an element every
+    momentum is solved.  The report records the element and the count.
     """
     if model.dimension != 3:
         raise ValueError("hinge flow is for 3d models on wires")
@@ -403,11 +418,26 @@ def hinge_spectral_flow(
     # a sample, where their sign is numerical noise.
     ks = -np.pi + (np.arange(nk) + 0.5) * (2.0 * np.pi / nk)
     asm = Assembly(model, geo)
+    reversal = momentum_reversal(model, geo)
+    nsolve = nk if reversal is None else (nk + 1) // 2
+    windows = [
+        near_zero_states(asm.matrix((k,)), window, seed=seed, dense_cutoff=dense_cutoff)
+        for k in ks[:nsolve]
+    ]
+    for j in range(nsolve, nk):  # ks[j] = -ks[nk - 1 - j]
+        vals, vecs = windows[nk - 1 - j]
+        vecs = _fix_phases(reversal.apply(vecs))
+        h = asm.matrix((ks[j],))
+        resid = np.max(np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0))
+        bound = RESIDUAL_FACTOR * spectral_norm_bound(h)
+        if resid > bound:
+            raise RuntimeError(
+                f"{reversal.label} maps k={ks[nk - 1 - j]:.3f} with residual "
+                f"{resid:.3e} above {bound:.3e} at k={ks[j]:.3f}"
+            )
+        windows.append((vals, vecs))
     all_vals, all_vecs, all_weights = [], [], []
-    for k in ks:
-        vals, vecs = near_zero_states(
-            asm.matrix((k,)), window, seed=seed, dense_cutoff=dense_cutoff
-        )
+    for vals, vecs in windows:
         vecs = _disentangle_clusters(vals, vecs, part)
         all_vals.append(vals)
         all_vecs.append(vecs)
@@ -463,6 +493,11 @@ def hinge_spectral_flow(
                     f"single hinge (best weight {hw[best]:.2f})"
                 )
             crossings.append(record)
+    if not crossings:
+        warnings.append(
+            f"no band crosses E = 0 inside |E|<{energy_window}, so every hinge "
+            "flow is 0; raise side or nk"
+        )
     total = sum(flows.values())
     if total != 0:
         warnings.append(f"hinge flows sum to {total}, not zero")
@@ -473,6 +508,8 @@ def hinge_spectral_flow(
         momenta=ks,
         energies=energies,
         warnings=warnings,
+        k_reversal=None if reversal is None else reversal.label,
+        solved_momenta=nsolve,
     )
 
 

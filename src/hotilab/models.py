@@ -151,6 +151,20 @@ class Geometry:
         """Pattern sites inside the box, lexicographic over open coordinates."""
         return [tuple(x) for x in self.site_array().tolist()]
 
+    def box_lookup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(shape, strides, lookup) of the open box: the point with open
+        coordinates x is box entry x @ strides, and lookup[x @ strides] is
+        its row in ``site_array()`` (-1 where the pattern excludes it)."""
+        opens = list(self.open_dirs)
+        shape = np.array([int(self.extents[i]) for i in opens], dtype=np.int64)
+        strides = np.array(
+            [math.prod(shape[i + 1:]) for i in range(len(shape))], dtype=np.int64
+        )
+        sites = self.site_array()
+        lookup = np.full(math.prod(shape), -1, dtype=np.int64)
+        lookup[sites[:, opens] @ strides] = np.arange(len(sites))
+        return shape, strides, lookup
+
 
 def bulk_geometry(dimension: int) -> Geometry:
     return Geometry(Pattern(dimension), (None,) * dimension)
@@ -230,17 +244,12 @@ class Assembly:
                 )
         n = model.norb
         opens = list(geometry.open_dirs)
-        shape = [int(geometry.extents[i]) for i in opens]
-        strides = np.array(
-            [math.prod(shape[i + 1:]) for i in range(len(shape))], dtype=np.int64
-        )
+        shape, strides, lookup = geometry.box_lookup()
         sites = geometry.site_array()
-        lookup = np.full(math.prod(shape), -1, dtype=np.int64)  # box -> site
-        lookup[sites[:, opens] @ strides] = np.arange(len(sites))
         deltas = np.array(list(model.hoppings), dtype=np.int64).reshape(-1, model.dimension)
         w = np.array(list(model.hoppings.values()), dtype=complex).reshape(-1, n, n)
         target = sites[:, None, opens] + deltas[None, :, opens]
-        inside = np.all((target >= 0) & (target < np.array(shape, dtype=np.int64)), axis=-1)
+        inside = np.all((target >= 0) & (target < shape), axis=-1)
         ti = np.full(inside.shape, -1, dtype=np.int64)
         ti[inside] = lookup[target[inside] @ strides]
         si, hop, a, b = np.nonzero((ti >= 0)[:, :, None, None] & (w != 0))

@@ -161,9 +161,6 @@ class Pattern:
             return 0
         return integer_rank(imat([list(n) for n, _ in self.constraints]))
 
-    def normals(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(n for n, _ in self.constraints)
-
     def window_sites(self, radius: int) -> set[tuple[int, ...]]:
         """All pattern sites with max-norm <= radius (brute force)."""
         r = range(-radius, radius + 1)

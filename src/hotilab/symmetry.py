@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .models import HoppingModel, s0, s1, s2, s3
+from .models import Geometry, HoppingModel, s0, s1, s2, s3
 from .patterns import PointGroupElement
 
 __all__ = [
@@ -21,6 +21,8 @@ __all__ = [
     "builtin_action",
     "BUILTIN_ACTIONS",
     "check_covariance",
+    "MomentumReversal",
+    "momentum_reversal",
     "symmetrize",
     "verify_projective_relations",
 ]
@@ -195,6 +197,72 @@ def check_covariance(
             lhs = u @ _maybe_conj(w, action.antiunitary[g]) @ u.conj().T
             defect = max(defect, float(np.max(np.abs(lhs - sign * target))))
     return defect <= tol, defect
+
+
+@dataclass(frozen=True)
+class MomentumReversal:
+    """The map psi -> P U conj^anti(psi) that carries eigenvectors of a
+    geometry's H(k) onto eigenvectors of H(-k) with the same energies.
+
+    P moves site s to site ``site_perm[s]``; U acts on each site's orbitals.
+    """
+
+    label: str  # "<action>:<element>"
+    site_perm: np.ndarray
+    unitary: np.ndarray
+    antiunitary: bool
+
+    def apply(self, vecs: np.ndarray) -> np.ndarray:
+        """Image of the columns of ``vecs`` (site-major, orbital-minor)."""
+        src = vecs.reshape(len(self.site_perm), self.unitary.shape[0], -1)
+        out = np.empty_like(src)
+        out[self.site_perm] = self.unitary @ (src.conj() if self.antiunitary else src)
+        return out.reshape(vecs.shape)
+
+
+def momentum_reversal(
+    model: HoppingModel, geometry: Geometry
+) -> MomentumReversal | None:
+    """First built-in symmetry element mapping H(k) onto H(-k) on
+    ``geometry``, or None.
+
+    With (O psi)(S x + t) = U_g conj^phi(g)(psi(x)), covariance gives
+    O H(k) O^-1 = (-1)^c(g) H((-1)^phi(g) S_pp k) when S keeps open and
+    periodic directions apart and x -> S x + t maps the sites onto
+    themselves.  So g is taken when its action passes ``check_covariance``,
+    g is not chiral, (-1)^phi(g) S_pp = -1 and it maps the box onto itself.
+    """
+    opens, periodic = list(geometry.open_dirs), list(geometry.periodic_dirs)
+    shape, strides, lookup = geometry.box_lookup()
+    sites = geometry.site_array()[:, opens]
+    for name in BUILTIN_ACTIONS:
+        action = builtin_action(name)
+        if (action.dimension, action.norb) != (model.dimension, model.norb):
+            continue
+        if not check_covariance(model, action)[0]:
+            continue
+        for g in action.elements:
+            s = np.array(action.spatial[g].matrix, dtype=np.int64)
+            s_open = s[np.ix_(opens, opens)]
+            reverse = (-1 if action.antiunitary[g] else 1) * s[np.ix_(periodic, periodic)]
+            if (
+                action.chirality[g]
+                or s[np.ix_(opens, periodic)].any()
+                or s[np.ix_(periodic, opens)].any()
+                or not np.array_equal(reverse, -np.eye(len(periodic), dtype=np.int64))
+            ):
+                continue
+            # shift the image box back so that its lowest corner is the origin
+            image = sites @ s_open.T - np.minimum(s_open, 0) @ (shape - 1)
+            if not np.all((image >= 0) & (image < shape)):
+                continue
+            perm = lookup[image @ strides]
+            if np.any(perm < 0):
+                continue
+            return MomentumReversal(
+                f"{name}:{g}", perm, action.unitaries[g], bool(action.antiunitary[g])
+            )
+    return None
 
 
 def symmetrize(model: HoppingModel, action: SymmetryAction) -> HoppingModel:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hotilab.invariants as invariants
 from hotilab.invariants import (
     CornerReport,
     _round_integer,
@@ -17,8 +18,9 @@ from hotilab.invariants import (
     trim_parities,
     winding_number,
 )
-from hotilab.models import HoppingModel, builtin_model, s0, s1, s2, s3
-from hotilab.symmetry import builtin_action
+from hotilab.models import Assembly, HoppingModel, builtin_model, s0, s1, s2, s3, wire_geometry
+from hotilab.spectral import spectral_norm_bound
+from hotilab.symmetry import MomentumReversal, builtin_action, momentum_reversal
 
 TOL = 1e-9
 
@@ -179,6 +181,66 @@ def test_hinge_flow_twofold_model():
     )
     assert rep.flows == {"hinge1": 0, "hinge2": -1, "hinge3": 0, "hinge4": 1}
     assert rep.kirchhoff_sum == 0
+
+
+@pytest.mark.parametrize("mname, side, nk", [
+    ("ham1", 12, 41), ("ham2", 14, 41), ("ham3", 12, 41), ("ham3", 12, 40),
+])
+def test_hinge_flow_half_scan_matches_full_scan(monkeypatch, mname, side, nk):
+    model = builtin_model(mname)
+    kw = dict(side=side, nk=nk, window=12, dense_cutoff=256)
+    half = hinge_spectral_flow(model, **kw)
+    monkeypatch.setattr(invariants, "momentum_reversal", lambda *args: None)
+    full = hinge_spectral_flow(model, **kw)
+    assert (half.solved_momenta, full.solved_momenta) == ((nk + 1) // 2, nk)
+    assert half.k_reversal is not None and full.k_reversal is None
+    assert half.flows == full.flows
+    assert len(half.crossings) == len(full.crossings) > 0
+    for a, b in zip(half.crossings, full.crossings):
+        assert (a["hinge"], a["slope"]) == (b["hinge"], b["slope"])
+        # k lives on the circle: a crossing pinned at pi may read +pi or -pi
+        assert abs((a["k"] - b["k"] + np.pi) % (2 * np.pi) - np.pi) <= 1e-9
+    bound = spectral_norm_bound(Assembly(model, wire_geometry(3, side)).matrix((0.0,)))
+    assert np.max(np.abs(half.energies - full.energies)) <= 1e-12 * bound
+    assert half.warnings == full.warnings
+
+
+def test_hinge_flow_falls_back_to_full_scan(monkeypatch):
+    base = builtin_model("ham1")
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    hops = dict(base.hoppings)
+    hops[(0, 0, 0)] = hops[(0, 0, 0)] + 0.05 * (a + a.conj().T)
+    broken = HoppingModel(3, 4, hops)
+    assert momentum_reversal(broken, wire_geometry(3, 6)) is None
+    calls = []
+    solve = invariants.near_zero_states
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(invariants, "near_zero_states", counted)
+    rep = hinge_spectral_flow(broken, side=6, nk=9, window=8)
+    assert len(calls) == 9
+    assert rep.k_reversal is None and rep.solved_momenta == 9
+
+
+def test_hinge_flow_rejects_a_wrong_map(monkeypatch):
+    # a map missing the orbital unitary does not carry H(k) onto H(-k)
+    model = builtin_model("ham1")
+    rev = momentum_reversal(model, wire_geometry(3, 6))
+    wrong = MomentumReversal("wrong", rev.site_perm, np.eye(4, dtype=complex), False)
+    monkeypatch.setattr(invariants, "momentum_reversal", lambda *args: wrong)
+    with pytest.raises(RuntimeError, match="residual"):
+        hinge_spectral_flow(model, side=6, nk=9, window=8)
+
+
+def test_hinge_flow_warns_when_no_band_crosses_zero():
+    rep = hinge_spectral_flow(builtin_model("ham2"), side=12, nk=9)
+    assert rep.flows == {"hinge1": 0, "hinge2": 0, "hinge3": 0, "hinge4": 0}
+    assert rep.crossings == []
+    assert any("every hinge flow is 0" in w for w in rep.warnings)
 
 
 def test_trim_parities_ham1():

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from hotilab.models import HoppingModel, builtin_model
+from hotilab.models import Assembly, HoppingModel, builtin_model, wire_geometry
 from hotilab.patterns import PointGroupElement
 from hotilab.symmetry import (
     BUILTIN_ACTIONS,
     SymmetryAction,
     builtin_action,
     check_covariance,
+    momentum_reversal,
     symmetrize,
     verify_projective_relations,
 )
@@ -134,3 +135,21 @@ def test_covariance_detects_broken_model():
     broken = HoppingModel(3, 4, hops)
     ok, defect = check_covariance(broken, builtin_action("inversion"), TOL)
     assert not ok and defect > 1e-7
+
+
+@pytest.mark.parametrize("mname,label", [
+    ("ham1", "inversion:g"), ("ham2", "C2T:g"), ("ham3", "C4T:g"),
+])
+def test_momentum_reversal_maps_eigenpairs_to_minus_k(mname, label):
+    model = builtin_model(mname)
+    geo = wire_geometry(3, 6)
+    rev = momentum_reversal(model, geo)
+    assert rev.label == label
+    assert sorted(rev.site_perm) == list(range(36))
+    asm = Assembly(model, geo)
+    for k in (0.4, 2.9):
+        vals, vecs = np.linalg.eigh(asm.matrix((k,)).toarray())
+        h = asm.matrix((-k,))
+        mapped = rev.apply(vecs)
+        bound = np.max(abs(h).sum(axis=1))
+        assert np.max(np.abs(h @ mapped - mapped * vals)) <= 1e-12 * bound
