@@ -211,10 +211,13 @@ def solve_integer(m, b):
     """Solve m x = b over the integers; return x or None.
 
     ``b`` may be a vector or an n x s matrix (solved columnwise; None if any
-    column has no solution).
+    column has no solution).  One factorization of ``m`` serves every
+    column, and a ``b`` without columns factors nothing.
     """
     m = _as_imat(m)
     bb = _as_imat(b)
+    if bb.shape[1] == 0:
+        return izeros(m.shape[1], 0)
     u, d, v = smith_normal_form(m)
     c = u @ bb
     n, k = d.shape
@@ -316,17 +319,20 @@ class FGAbelianGroup:
 
     # -- elements ----------------------------------------------------------
     def reduce(self, x) -> np.ndarray:
-        """Canonical coset representative of ``x``."""
+        """Canonical coset representative of a vector, or of each column of a matrix.
+
+        A vector gives a vector; an ngens x s matrix gives the s
+        representatives as columns, from one exact inversion of U.
+        """
         u, d, _ = self._snf
-        xx = _as_imat(x).reshape(self.ngens)
-        y = u @ xx
+        y = u @ _as_imat(x)
         for i in range(min(d.shape)):
             di = d[i, i]
             if di != 0:
-                y[i] = y[i] % di
+                y[i, :] %= di
         # invert u exactly: u is unimodular, so solve u z = y
-        z = solve_integer(u, y.reshape(-1, 1))
-        return z[:, 0]
+        z = solve_integer(u, y)
+        return z[:, 0] if np.ndim(x) == 1 else z
 
     def is_zero(self, x) -> bool:
         return lattice_contains(self.relations, _as_imat(x).reshape(-1, 1))
@@ -373,13 +379,8 @@ class GroupMap:
                 f"dst ngens {self.dst.ngens} x src ngens {self.src.ngens}"
             )
         # well-defined: relations of src must land in the relation lattice of dst
-        img_rel = self.matrix @ self.src.relations
-        for j in range(img_rel.shape[1]):
-            if not self.dst.is_zero(img_rel[:, j]):
-                raise ValueError("map does not respect source relations")
-
-    def __call__(self, x) -> np.ndarray:
-        return self.dst.reduce(self.matrix @ _as_imat(x).reshape(-1, 1))
+        if not lattice_contains(self.dst.relations, self.matrix @ self.src.relations):
+            raise ValueError("map does not respect source relations")
 
     def compose(self, other: "GroupMap") -> "GroupMap":
         """self o other."""
@@ -397,16 +398,11 @@ class GroupMap:
     def preimage_lattice(self, lat_dst) -> np.ndarray:
         lat = lattice_sum(lat_dst, self.dst.relations)
         a = self.matrix
-        stacked = np.concatenate([a, -lat], axis=1) if lat.shape[1] else a
-        ker = kernel_basis(stacked)
-        xpart = ker[: a.shape[1], :] if ker.shape[1] else izeros(a.shape[1], 0)
-        return lattice_sum(xpart, self.src.relations)
+        ker = kernel_basis(np.concatenate([a, -lat], axis=1))
+        return lattice_sum(ker[: a.shape[1], :], self.src.relations)
 
     def is_zero_map(self) -> bool:
-        for j in range(self.src.ngens):
-            if not self.dst.is_zero(self.matrix[:, j]):
-                return False
-        return True
+        return lattice_contains(self.dst.relations, self.matrix)
 
 
 def zero_map(src: FGAbelianGroup, dst: FGAbelianGroup) -> GroupMap:
@@ -421,7 +417,7 @@ class Subquotient:
     """S / Q for lattices Q <= S inside an ambient presented group.
 
     ``group`` is a presentation of the subquotient; ``basis`` lifts its
-    generators to ambient coordinates; ``project`` maps an ambient vector
+    generators to ambient coordinates; ``project`` maps ambient vectors
     lying in S to coordinates of ``group``.
     """
 
@@ -435,29 +431,27 @@ class Subquotient:
         amb = self.ambient
         s_lat = lattice_sum(self.sub_lattice, amb.relations)
         q_lat = lattice_sum(self.quot_lattice, amb.relations)
-        # Q must sit inside S
-        for j in range(q_lat.shape[1]):
-            if not lattice_contains(s_lat, q_lat[:, j].reshape(-1, 1)):
-                raise ValueError("quotient lattice is not contained in subgroup lattice")
         self.sub_lattice = s_lat
         self.quot_lattice = q_lat
         basis = s_lat  # HNF basis columns are a lattice basis of S
-        if q_lat.shape[1] == 0:
-            rel = izeros(basis.shape[1], 0)
-        else:
-            rel = solve_integer(basis, q_lat)
-            if rel is None:  # pragma: no cover - guarded above
-                raise RuntimeError("containment check failed")
+        # Q sits inside S exactly when its generators solve in that basis
+        rel = solve_integer(basis, q_lat)
+        if rel is None:
+            raise ValueError("quotient lattice is not contained in subgroup lattice")
         self.group = FGAbelianGroup(basis.shape[1], rel)
         self.basis = basis
 
     def project(self, x) -> np.ndarray:
-        """Coordinates of an ambient vector (must lie in S) in ``group``."""
-        xx = _as_imat(x).reshape(-1, 1)
-        c = solve_integer(self.basis, xx)
+        """Coordinates in ``group`` of an ambient vector, or of each column of a matrix.
+
+        Every column must lie in S.  A vector gives a vector; a matrix
+        gives a matrix of coordinate columns, from one ``solve_integer``
+        and one ``reduce``.
+        """
+        c = solve_integer(self.basis, x)
         if c is None:
             raise ValueError("vector does not lie in the subgroup")
-        return self.group.reduce(c[:, 0])
+        return self.group.reduce(c[:, 0] if np.ndim(x) == 1 else c)
 
     def lift(self, c) -> np.ndarray:
         return (self.basis @ _as_imat(c).reshape(-1, 1))[:, 0]

@@ -48,6 +48,7 @@ __all__ = [
 INTEGER_TOL = 0.1      # max distance of a raw invariant from an integer
 ZERO_MODE_TOL = 1e-6   # |E| below this (times a norm bound) counts as zero
 WEIGHT_THRESHOLD = 0.5 # region weight needed to attribute a state
+ZONE_EDGE_TOL = 1e-9   # a crossing this close to k = +-pi is reported at -pi
 
 
 def _round_integer(raw: float, what: str) -> int:
@@ -400,6 +401,9 @@ def hinge_spectral_flow(
     only locally (never chaining across the whole loop) keeps the count
     immune to states drifting in and out of the solver window far from
     zero.  The Kirchhoff sum of all flows is reported, not assumed.
+    Crossing momenta lie in [-pi, pi); one within ``ZONE_EDGE_TOL`` of
+    the zone edge is reported as exactly -pi, whatever the last bits of
+    its interpolation.
 
     When a built-in symmetry element of the model maps H(k) onto H(-k) on
     the wire (``symmetry.momentum_reversal``), only the first ceil(nk/2)
@@ -483,6 +487,8 @@ def hinge_spectral_flow(
             best = max(hw, key=hw.get)
             kcross = float(ka - ea * (kb - ka) / (eb - ea))
             kcross = float((kcross + np.pi) % (2.0 * np.pi) - np.pi)
+            if np.pi - abs(kcross) <= ZONE_EDGE_TOL:
+                kcross = -np.pi
             record = {"k": kcross, "slope": sign, "weights": hw, "hinge": None}
             if hw[best] > weight_threshold:
                 flows[best] += sign

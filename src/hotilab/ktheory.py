@@ -11,7 +11,8 @@ map land two levels down; this is what feeds the r = 2 boundary map.
 every level's six-term sequence is spliced from short exact sequences
 with a chosen splitting), ``derive_couple`` turns pages, and
 ``higher_boundary_map`` extracts the order-r bulk-to-stratum map with
-its domain and codomain presented canonically.
+its domain and codomain presented canonically.  Both it and
+``couple_report`` read from one page chain that turns each page once.
 
 Grid convention: nodes are (p, t) with p the filtration level and t a
 diagonal index; classes stored at E[p, t] have internal K-parity
@@ -43,6 +44,7 @@ from .fgab import (
     izeros,
     kernel_basis,
     lattice_canonical,
+    lattice_contains,
     lattice_sum,
     smith_normal_form,
     solve_integer,
@@ -179,11 +181,10 @@ class CofiltrationData:
                 # but only on classes where the lift data is ever used
                 ker = self.boundary[(0, eps)].kernel_lattice()
                 down = self.boundary[(2, eps ^ 1)].matrix @ mat @ ker
-                for j in range(down.shape[1]):
-                    if not self.strata[(3, eps)].is_zero(down[:, j]):
-                        raise ValueError(
-                            f"second-order data for parity {eps} is not closed under the boundary map"
-                        )
+                if not lattice_contains(self.strata[(3, eps)].relations, down):
+                    raise ValueError(
+                        f"second-order data for parity {eps} is not closed under the boundary map"
+                    )
 
 
 # ---------------------------------------------------------------------------
@@ -365,55 +366,28 @@ def _derive_with_data(c: ExactCouple, rng=None):
             sq = dsq[(p, t)]
             if p >= 1:
                 tsq = dsq[(p - 1, t ^ 1)]
-                cols = [
-                    tsq.project(c.alpha[(p, t)].matrix @ sq.basis[:, j])
-                    for j in range(sq.group.ngens)
-                ]
-                al[(p, t)] = GroupMap(nd[(p, t)], nd[(p - 1, t ^ 1)], _cols_to_mat(cols, tsq.group.ngens))
-            gsq = esq[(p, t)]
-            cols = [
-                sq.project(c.gamma[(p, t)].matrix @ gsq.basis[:, j])
-                for j in range(gsq.group.ngens)
-            ]
-            ga[(p, t)] = GroupMap(ne[(p, t)], nd[(p, t)], _cols_to_mat(cols, sq.group.ngens))
+                amat = tsq.project(c.alpha[(p, t)].matrix @ sq.basis)
+                al[(p, t)] = GroupMap(nd[(p, t)], nd[(p - 1, t ^ 1)], amat)
+            gmat = sq.project(c.gamma[(p, t)].matrix @ esq[(p, t)].basis)
+            ga[(p, t)] = GroupMap(ne[(p, t)], nd[(p, t)], gmat)
             if p + r + 1 <= d:
-                up = c.d_groups[(p + 1, t ^ 1)]
-                amat = c.alpha[(p + 1, t ^ 1)].matrix
-                stacked = (
-                    np.concatenate([amat, c.d_groups[(p, t)].relations], axis=1)
-                    if c.d_groups[(p, t)].relations.shape[1]
-                    else amat
-                )
+                alpha_up = c.alpha[(p + 1, t ^ 1)]
+                stacked = np.concatenate([alpha_up.matrix, c.d_groups[(p, t)].relations], axis=1)
+                sol = solve_integer(stacked, sq.basis)
+                if sol is None:
+                    raise RuntimeError(f"no alpha-lift for derived generator at D[{p},{t}]")
+                y = sol[: alpha_up.src.ngens, :]
+                if rng is not None:
+                    kl = alpha_up.kernel_lattice()
+                    if kl.shape[1]:
+                        y = y + kl @ imat(rng.integers(-2, 3, size=(kl.shape[1], y.shape[1])))
                 tnode = (p + r + 1, (t + r) % 2)
-                tsq = esq[tnode]
-                cols = []
-                for j in range(sq.group.ngens):
-                    sol = solve_integer(stacked, sq.basis[:, j].reshape(-1, 1))
-                    if sol is None:
-                        raise RuntimeError(
-                            f"no alpha-lift for derived generator at D[{p},{t}]"
-                        )
-                    y = sol[: up.ngens, 0]
-                    if rng is not None:
-                        kl = c.alpha[(p + 1, t ^ 1)].kernel_lattice()
-                        if kl.shape[1]:
-                            shift = imat(rng.integers(-2, 3, size=kl.shape[1]))
-                            y = y + (kl @ shift)[:, 0]
-                    cols.append(tsq.project(c.beta[(p + 1, t ^ 1)].matrix @ y))
-                be[(p, t)] = GroupMap(nd[(p, t)], ne[tnode], _cols_to_mat(cols, tsq.group.ngens))
+                bmat = esq[tnode].project(c.beta[(p + 1, t ^ 1)].matrix @ y)
+                be[(p, t)] = GroupMap(nd[(p, t)], ne[tnode], bmat)
 
     out = ExactCouple(d, r + 1, nd, ne, al, be, ga, name=c.name)
     out.verify()
     return out, dsq, esq
-
-
-def _cols_to_mat(cols, nrows) -> np.ndarray:
-    if not cols:
-        return izeros(nrows, 0)
-    m = izeros(nrows, len(cols))
-    for j, col in enumerate(cols):
-        m[:, j] = col
-    return m
 
 
 def derive_couple(c: ExactCouple) -> ExactCouple:
@@ -462,9 +436,7 @@ class BoundaryMapReport:
     matrix: np.ndarray
 
     def is_zero(self) -> bool:
-        return all(
-            self.codomain.is_zero(self.matrix[:, j]) for j in range(self.matrix.shape[1])
-        )
+        return lattice_contains(self.codomain.relations, self.matrix)
 
     def image_order_two(self, j: int) -> bool:
         """True when generator j maps to a nonzero class killed by doubling."""
@@ -487,36 +459,55 @@ class BoundaryMapReport:
         }
 
 
+def _page_chain(cd: CofiltrationData, last: int, rng=None) -> list:
+    """Pages 1..last of ``cd``'s couple, each turned once from the one before.
+
+    Entry r - 1 is (page-r couple, lifts), where ``lifts[q]`` lifts the
+    generators of the bulk page-r group of parity q back to bulk-stratum
+    coordinates.  ``rng`` perturbs the alpha-lifts of every page turn.
+    """
+    c = build_couple(cd)
+    lifts = {q: ieye(c.e_groups[(0, q)].ngens) for q in (0, 1)}
+    chain = [(c, lifts)]
+    while c.page < last:
+        c, _, esq = _derive_with_data(c, rng=rng)
+        lifts = {q: lifts[q] @ esq[(0, q)].basis for q in (0, 1)}
+        chain.append((c, lifts))
+    return chain
+
+
+def _boundary_map_on_page(c: ExactCouple, lifts: dict, q: int) -> BoundaryMapReport:
+    """delta^r on bulk parity-q classes, read off the page-r couple ``c``."""
+    dmap = c.differential(0, q)
+    if dmap is None:  # pragma: no cover - excluded by the range check
+        raise RuntimeError("differential out of the bulk node is missing")
+    tnode = c.beta_target(0, q)
+    return BoundaryMapReport(
+        r=c.page,
+        q=q,
+        domain=c.e_groups[(0, q)],
+        domain_lifts=lifts[q],
+        codomain=c.e_groups[tnode],
+        codomain_node=tnode,
+        matrix=dmap.matrix,
+    )
+
+
 def higher_boundary_map(cd: CofiltrationData, r: int, q: int, rng=None) -> BoundaryMapReport:
     """The order-r boundary map on bulk classes of parity q.
 
     Domain: the page-r group at the bulk node, i.e. the bulk classes that
     survive r-1 differentials, presented with lifts back to bulk-stratum
     coordinates.  Codomain: the page-r group at the level-r node.  For
-    r = 1 this reduces to the stored first-order boundary map.  With
-    ``rng``, page turns use randomized alpha-lifts; the result must be
-    identical (lift independence).
+    r = 1 this reduces to the stored first-order boundary map.  The
+    pages come from one chain of r - 1 page turns, the chain that
+    ``couple_report`` reads every delta^r from.  With ``rng``, page turns
+    use randomized alpha-lifts; the result must be identical (lift
+    independence).
     """
     if not 1 <= r <= cd.length:
         raise ValueError(f"order must be between 1 and the filtration length {cd.length}")
-    c = build_couple(cd)
-    lifts = ieye(c.e_groups[(0, q)].ngens)
-    for _ in range(r - 1):
-        c, _, esq = _derive_with_data(c, rng=rng)
-        lifts = lifts @ esq[(0, q)].basis
-    dmap = c.differential(0, q)
-    if dmap is None:  # pragma: no cover - excluded by the range check
-        raise RuntimeError("differential out of the bulk node is missing")
-    tnode = c.beta_target(0, q)
-    return BoundaryMapReport(
-        r=r,
-        q=q,
-        domain=c.e_groups[(0, q)],
-        domain_lifts=lifts,
-        codomain=c.e_groups[tnode],
-        codomain_node=tnode,
-        matrix=dmap.matrix,
-    )
+    return _boundary_map_on_page(*_page_chain(cd, r, rng=rng)[-1], q)
 
 
 # ---------------------------------------------------------------------------
@@ -741,15 +732,16 @@ def _canon_dict(canonical) -> dict:
     return {"rank": int(rank), "torsion": [int(t) for t in torsion]}
 
 
-def couple_report(cd: CofiltrationData, max_page: int | None = None) -> dict:
-    """JSON-ready summary of the pages, differentials, and delta^r maps."""
-    last = cd.length if max_page is None else max_page
-    couples = [build_couple(cd)]
-    while couples[-1].page < last:
-        couples.append(derive_couple(couples[-1]))
+def couple_report(cd: CofiltrationData) -> dict:
+    """JSON-ready summary of pages 1..length, their differentials, and every delta^r.
+
+    One page chain serves the whole report: each page is turned once
+    (length - 1 turns in all), and delta^r_q is read from page r.
+    """
+    chain = _page_chain(cd, cd.length)
     pages = {}
     diffs = {}
-    for c in couples:
+    for c, _ in chain:
         pg = {}
         dd = {}
         for p, t in c.nodes():
@@ -770,11 +762,11 @@ def couple_report(cd: CofiltrationData, max_page: int | None = None) -> dict:
                 }
         pages[str(c.page)] = pg
         diffs[str(c.page)] = dd
-    deltas = {}
-    for r in range(1, cd.length + 1):
-        for q in (0, 1):
-            rep = higher_boundary_map(cd, r, q)
-            deltas[f"delta^{r}_q{q}"] = rep.to_dict()
+    deltas = {
+        f"delta^{c.page}_q{q}": _boundary_map_on_page(c, lifts, q).to_dict()
+        for c, lifts in chain
+        for q in (0, 1)
+    }
     return {
         "name": cd.name,
         "length": cd.length,

@@ -170,6 +170,13 @@ def test_group_reduce_and_equal():
     assert int(g.reduce([7])[0]) == 2
     assert g.equal([7], [2])
     assert not g.equal([7], [3])
+    # a matrix is reduced column by column, in one call
+    assert g.reduce(imat([[7, -3, 5, 0]])).tolist() == [[2, 2, 0, 0]]
+    g3 = FGAbelianGroup(3, [[4, 0], [2, 6], [0, 0]])
+    xs = random_imat(3, 7)
+    cols = [g3.reduce(xs[:, j]) for j in range(xs.shape[1])]
+    assert np.array_equal(g3.reduce(xs), np.stack(cols, axis=1))
+    assert g3.reduce(izeros(3, 0)).shape == (3, 0)
 
 
 def test_map_well_defined_rejects():
@@ -222,3 +229,11 @@ def test_subquotient_project_lift_roundtrip():
         c = rng.integers(-5, 6, size=sq.group.ngens)
         x = sq.lift(c)
         assert np.array_equal(sq.project(x), sq.group.reduce(c))
+    # a matrix of ambient vectors projects column by column, in one call
+    cs = random_imat(sq.group.ngens, 6, -5, 5)
+    xs = sq.basis @ cs
+    proj = sq.project(xs)
+    assert proj.shape == (sq.group.ngens, 6)
+    for j in range(6):
+        assert np.array_equal(proj[:, j], sq.project(xs[:, j]))
+    assert np.array_equal(proj, sq.group.reduce(cs))

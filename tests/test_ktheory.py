@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import hotilab.ktheory as ktheory
 from hotilab.fgab import (
     GroupMap,
     free_group,
@@ -297,6 +298,31 @@ def test_report_inversion_contents():
     assert d2["codomain"] == "Z/2"
     assert d2["generator_images"]["[triv]"] == "0"
     assert d2["generator_images"]["[ham1]"] != "0"
+
+
+def test_report_turns_each_page_once(monkeypatch):
+    # one report derives pages 2..length once each and reads every delta^r
+    # from them; it agrees with higher_boundary_map, which builds its own
+    turns = []
+    derive = ktheory._derive_with_data
+
+    def counted(*args, **kwargs):
+        turns.append(1)
+        return derive(*args, **kwargs)
+
+    monkeypatch.setattr(ktheory, "_derive_with_data", counted)
+    rng = np.random.default_rng(41)
+    cases = [preset_cofiltration(n) for n in PRESET_NAMES]
+    cases += [random_cofiltration(rng) for _ in range(6)]
+    for cd in cases:
+        turns.clear()
+        rep = couple_report(cd)
+        assert len(turns) == cd.length - 1
+        assert len(rep["boundary_maps"]) == 2 * cd.length
+        for r in range(1, cd.length + 1):
+            for q in (0, 1):
+                expected = higher_boundary_map(cd, r, q).to_dict()
+                assert rep["boundary_maps"][f"delta^{r}_q{q}"] == expected
 
 
 def test_report_is_json_serializable():
