@@ -13,9 +13,10 @@ Outputs are deterministic for a fixed config and seed: CSV floats use a
 fixed format, JSON is written with sorted keys, and the manifest's
 config hash covers exactly the semantically meaningful fields (not the
 output directory or cosmetic names).  ``--workers`` threads split only the
-dense scans: slab momentum grids, and wire band scans whose dimension is
-at most ``dense_cutoff``; every sparse folded (ARPACK) solve runs on the
-calling thread, one momentum after another.
+dense slab momentum grids; every wire scan runs on the calling thread, one
+momentum after another, halved on symmetric grids (see
+``spectral.band_structure``), so its output cannot depend on the worker
+count.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .models import (
     Geometry,
     HoppingModel,
     builtin_model,
+    bulk_geometry,
     cube_geometry,
     instantiate,
     model_from_dict,
@@ -246,11 +248,15 @@ def config_hash(cfg: dict) -> str:
 # panels: one (model instance, geometry) pair per combination
 
 
-def _model_label(mspec: dict, gamma: float | None) -> str:
+def _model_instances(mspec: dict) -> list:
+    """(label, model) for each gamma of a built-in model, or the custom one."""
     if "custom" in mspec:
-        return mspec["label"]
+        return [(mspec["label"], model_from_dict(mspec["custom"]))]
     name = mspec["name"]
-    return f"{name}-g{gamma:g}" if name in MODEL_CLASS else name
+    return [
+        (f"{name}-g{g:g}" if name in MODEL_CLASS else name, builtin_model(name, g))
+        for g in mspec["gamma"]
+    ]
 
 
 def _geometry_label(gspec: dict) -> str:
@@ -270,8 +276,6 @@ SLAB_DIRECTIONS = {"slab-yz": 0, "slab-xz": 1, "slab-xy": 2}
 def _make_geometry(gspec: dict, dimension: int) -> Geometry:
     kind = gspec["kind"]
     if kind == "bulk":
-        from .models import bulk_geometry
-
         return bulk_geometry(dimension)
     if kind == "slab":
         return slab_geometry(dimension, gspec["direction"], gspec["depth"])
@@ -287,18 +291,11 @@ def _make_geometry(gspec: dict, dimension: int) -> Geometry:
 
 
 def _panels(cfg: dict):
-    """Yield (label, model, geometry, gspec) for every model x geometry combo."""
-    mspec = cfg["model"]
-    models = []
-    if "custom" in mspec:
-        models.append((None, model_from_dict(mspec["custom"])))
-    else:
-        for g in mspec["gamma"]:
-            models.append((g, builtin_model(mspec["name"], g)))
-    for gamma, model in models:
+    """Yield (label, model, geometry) for every model x geometry combo."""
+    for mlabel, model in _model_instances(cfg["model"]):
         for gspec in cfg["geometry"]:
-            label = f"{_model_label(mspec, gamma)}-{_geometry_label(gspec)}"
-            yield label, model, _make_geometry(gspec, model.dimension), gspec
+            label = f"{mlabel}-{_geometry_label(gspec)}"
+            yield label, model, _make_geometry(gspec, model.dimension)
 
 
 def _parallel_map(fn, items, workers: int):
@@ -377,32 +374,17 @@ def _task_bands(model, geometry, solver, outdir, label, workers):
         _fail("geometry", "bands need at least one periodic direction")
     if nper == 1:
         part = wire_regions(geometry, model.norb) if len(geometry.open_dirs) >= 2 else None
-        momenta = [(k,) for k in _momentum_path(nk)]
-        sites = len(geometry.sites())
-        window = min(solver["window"], sites * model.norb)
-        if sites * model.norb <= solver["dense_cutoff"] and workers > 1:
-            chunks = np.array_split(np.arange(len(momenta)), workers)
-            parts = _parallel_map(
-                lambda idx: band_structure(
-                    model, geometry, [momenta[i] for i in idx], partition=part,
-                    window=window, seed=solver["seed"],
-                    dense_cutoff=solver["dense_cutoff"],
-                ),
-                [c for c in chunks if len(c)],
-                workers,
-            )
-            data = parts[0]
-            data.momenta = np.concatenate([p.momenta for p in parts])
-            data.energies = np.concatenate([p.energies for p in parts])
-            if data.weights is not None:
-                data.weights = np.concatenate([p.weights for p in parts])
-        else:
-            data = band_structure(
-                model, geometry, momenta, partition=part, window=window,
-                seed=solver["seed"], dense_cutoff=solver["dense_cutoff"],
-            )
+        window = min(solver["window"], len(geometry.sites()) * model.norb)
+        data = band_structure(
+            model, geometry, _momentum_path(nk)[:, None], partition=part, window=window,
+            seed=solver["seed"], dense_cutoff=solver["dense_cutoff"],
+        )
         write_band_csv(path, data)
-        summary = {"min_abs_energy": float(np.min(np.abs(data.energies)))}
+        summary = {
+            "min_abs_energy": float(np.min(np.abs(data.energies))),
+            "k_reversal": data.k_reversal,
+            "solved_momenta": data.solved_momenta,
+        }
         if part is not None:
             hinge_rows = [i for i, n in enumerate(part.names) if n.startswith("hinge")]
             near = np.abs(data.energies) < 0.2
@@ -429,6 +411,13 @@ def _task_bands(model, geometry, solver, outdir, label, workers):
     return [path], {"min_abs_energy_grid": gap, "min_abs_energy_line": float(np.min(np.abs(energies)))}
 
 
+def _hinge_flow(model, side, solver) -> HingeReport:
+    return hinge_spectral_flow(
+        model, side=side, nk=solver["k_grid"], window=solver["window"],
+        seed=solver["seed"], dense_cutoff=solver["dense_cutoff"],
+    )
+
+
 def _task_invariants(model, geometry, solver, outdir, label, workers):
     out = {}
     if model.dimension == 2 and model.chirality is not None:
@@ -437,10 +426,7 @@ def _task_invariants(model, geometry, solver, outdir, label, workers):
         out["corner"] = rep.to_dict()
     elif model.dimension == 3 and geometry.periodic_dirs and len(geometry.open_dirs) == 2:
         side = int(geometry.extents[geometry.open_dirs[0]])
-        rep = hinge_spectral_flow(
-            model, side=side, nk=solver["k_grid"], window=solver["window"],
-            seed=solver["seed"], dense_cutoff=solver["dense_cutoff"],
-        )
+        rep = _hinge_flow(model, side, solver)
         out["hinge_flow"] = rep.to_dict()
         klass = MODEL_CLASS.get(model.name)
         if klass:
@@ -548,7 +534,7 @@ def run_config(cfg: dict, out_dir, workers: int = 1) -> dict:
     for task in cfg["tasks"]:
         t0 = time.perf_counter()
         if task in per_panel:
-            for label, model, geometry, _ in _panels(cfg):
+            for label, model, geometry in _panels(cfg):
                 p0 = time.perf_counter()
                 fs, sm = runners[task](model, geometry, cfg["solver"], outdir, label, workers)
                 files += fs
@@ -565,16 +551,7 @@ def run_config(cfg: dict, out_dir, workers: int = 1) -> dict:
             summary["transversal"] = {k: sm[k] for k in ("classes", "filtration_sizes")}
             wall["transversal"] = round(time.perf_counter() - t0, 3)
         elif task == "symmetry-check":
-            mspec = cfg["model"]
-            insts = (
-                [(mspec["label"], model_from_dict(mspec["custom"]))]
-                if "custom" in mspec
-                else [
-                    (_model_label(mspec, g), builtin_model(mspec["name"], g))
-                    for g in mspec["gamma"]
-                ]
-            )
-            for label, model in insts:
+            for label, model in _model_instances(cfg["model"]):
                 fs, sm = _task_symmetry(model, cfg["symmetry"], outdir, label)
                 files += fs
                 summary[f"symmetry:{label}"] = sm
@@ -656,10 +633,7 @@ def _reproduce_model2(outdir, solver, sizes, workers):
     summary = run_config(validate_config(cfg), outdir, workers)
     hw = summary[f"bands:ham2-g0.5-wire{sizes['wire']}"]["max_hinge_weight_near_zero"]
     _claim(claims, "in-gap states localized on hinges (weight > 0.5)", hw > 0.5, hw)
-    rep = hinge_spectral_flow(
-        model, side=sizes["wire"], nk=solver["k_grid"], window=solver["window"],
-        seed=solver["seed"], dense_cutoff=solver["dense_cutoff"],
-    )
+    rep = _hinge_flow(model, sizes["wire"], solver)
     _write_json(Path(outdir) / "hinge-flow-ham2.json", rep.to_dict())
     _hinge_claims(claims, "ham2", rep, "adjacent-hinge parity equals 1")
     return claims, list(rep.warnings)
@@ -675,11 +649,7 @@ def _reproduce_model3(outdir, solver, sizes, workers):
         "solver": solver,
     }
     run_config(validate_config(cfg), outdir, workers)
-    rep = hinge_spectral_flow(
-        builtin_model("ham3", 0.5), side=sizes["wire"], nk=solver["k_grid"],
-        window=solver["window"], seed=solver["seed"],
-        dense_cutoff=solver["dense_cutoff"],
-    )
+    rep = _hinge_flow(builtin_model("ham3", 0.5), sizes["wire"], solver)
     _write_json(Path(outdir) / "hinge-flow-ham3.json", rep.to_dict())
     flows = _hinge_claims(claims, "ham3", rep, "single-hinge parity equals 1")
     alternating = all(abs(c) == 1 for c in flows) and all(
@@ -810,7 +780,7 @@ def reproduce(rid: str, out_dir, workers: int = 1, solver=None, sizes=None) -> d
 
 def _add_common_flags(p):
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="worker threads for dense scans")
+    p.add_argument("--workers", type=int, default=1, help="worker threads for slab grid scans")
     p.add_argument("--seed", type=int, default=None, help="solver seed override")
     p.add_argument("--grid", type=int, default=None, help="momentum grid override")
     p.add_argument("--size", type=int, default=None, help="geometry size override")
@@ -889,11 +859,13 @@ def _cmd_reproduce(args) -> int:
     out = args.out or f"out/{args.id}"
     solver = {}
     if args.seed is not None:
-        solver["seed"] = args.seed
+        solver["seed"] = _check_int(args.seed, "--seed", minimum=0)
     if args.grid is not None:
-        solver["k_grid"] = args.grid
+        solver["k_grid"] = _check_int(args.grid, "--grid")
         solver["bulk_grid"] = min(args.grid, DEFAULT_SOLVER["bulk_grid"])
-    sizes = {k: args.size for k in DEFAULT_SIZES} if args.size is not None else {}
+    sizes = {}
+    if args.size is not None:
+        sizes = dict.fromkeys(DEFAULT_SIZES, _check_int(args.size, "--size"))
     try:
         summary = reproduce(args.id, out, workers=max(1, args.workers), solver=solver, sizes=sizes)
     except ConfigError:

@@ -18,15 +18,13 @@ import scipy.optimize
 
 from .models import Assembly, HoppingModel, instantiate, quarter_geometry, slab_geometry, wire_geometry
 from .spectral import (
-    RESIDUAL_FACTOR,
     _disentangle_clusters,
-    _fix_phases,
+    _momentum_scan,
     corner_regions,
     near_zero_states,
     spectral_norm_bound,
     wire_regions,
 )
-from .symmetry import momentum_reversal
 
 __all__ = [
     "INTEGER_TOL",
@@ -405,13 +403,13 @@ def hinge_spectral_flow(
     the zone edge is reported as exactly -pi, whatever the last bits of
     its interpolation.
 
-    When a built-in symmetry element of the model maps H(k) onto H(-k) on
-    the wire (``symmetry.momentum_reversal``), only the first ceil(nk/2)
-    momenta of the grid, which is symmetric about k = 0, are solved; the
-    window at -k is the mapped window at k, with the same energies, and
-    each mapped pair must pass the residual check of the folded solver
-    against H(-k) or the scan raises.  Without such an element every
-    momentum is solved.  The report records the element and the count.
+    The windows come from the scan loop of ``spectral.band_structure``,
+    and all of them are kept for the matching.  The midpoint grid is
+    symmetric about k = 0, so when a built-in symmetry element of the
+    model maps H(k) onto H(-k) on the wire (``symmetry.momentum_reversal``)
+    only ceil(nk/2) momenta are solved and each window at -k is the
+    residual-checked image of the window at k.  The report records the
+    element and the count.
     """
     if model.dimension != 3:
         raise ValueError("hinge flow is for 3d models on wires")
@@ -421,39 +419,16 @@ def hinge_spectral_flow(
     # fourfold-rotation models) land strictly inside a segment instead of on
     # a sample, where their sign is numerical noise.
     ks = -np.pi + (np.arange(nk) + 0.5) * (2.0 * np.pi / nk)
-    asm = Assembly(model, geo)
-    reversal = momentum_reversal(model, geo)
-    nsolve = nk if reversal is None else (nk + 1) // 2
-    windows = [
-        near_zero_states(asm.matrix((k,)), window, seed=seed, dense_cutoff=dense_cutoff)
-        for k in ks[:nsolve]
-    ]
-    for j in range(nsolve, nk):  # ks[j] = -ks[nk - 1 - j]
-        vals, vecs = windows[nk - 1 - j]
-        vecs = _fix_phases(reversal.apply(vecs))
-        h = asm.matrix((ks[j],))
-        resid = np.max(np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0))
-        bound = RESIDUAL_FACTOR * spectral_norm_bound(h)
-        if resid > bound:
-            raise RuntimeError(
-                f"{reversal.label} maps k={ks[nk - 1 - j]:.3f} with residual "
-                f"{resid:.3e} above {bound:.3e} at k={ks[j]:.3f}"
-            )
-        windows.append((vals, vecs))
-    all_vals, all_vecs, all_weights = [], [], []
-    for vals, vecs in windows:
-        vecs = _disentangle_clusters(vals, vecs, part)
-        all_vals.append(vals)
-        all_vecs.append(vecs)
-        all_weights.append(part.weights(vecs))
+    data, vecs = _momentum_scan(
+        model, geo, ks[:, None], window, part, seed, dense_cutoff, keep_vectors=True
+    )
+    energies = data.energies
     warnings: list[str] = []
-    energies = np.array(all_vals)
-    for i, vals in enumerate(all_vals):
-        inside = np.abs(vals) < energy_window
-        if np.all(inside):
+    for k, vals in zip(ks, energies):
+        if np.all(np.abs(vals) < energy_window):
             warnings.append(
                 f"solver window saturated inside |E|<{energy_window} at "
-                f"k={ks[i]:.3f}; increase the window"
+                f"k={k:.3f}; increase the window"
             )
     hinge_names = [n for n in part.names if n.startswith("hinge")]
     hinge_rows = [part.names.index(n) for n in hinge_names]
@@ -464,15 +439,15 @@ def hinge_spectral_flow(
     for i in range(nk):
         j = (i + 1) % nk
         ka, kb = ks[i], ks[j] + (2.0 * np.pi if j == 0 else 0.0)
-        sel_a = np.where(np.abs(all_vals[i]) < energy_window)[0]
-        sel_b = np.where(np.abs(all_vals[j]) < energy_window)[0]
+        sel_a = np.where(np.abs(energies[i]) < energy_window)[0]
+        sel_b = np.where(np.abs(energies[j]) < energy_window)[0]
         if len(sel_a) == 0 or len(sel_b) == 0:
             continue
-        ov = np.abs(all_vecs[i][:, sel_a].conj().T @ all_vecs[j][:, sel_b])
+        ov = np.abs(vecs[i][:, sel_a].conj().T @ vecs[j][:, sel_b])
         ri, ci = scipy.optimize.linear_sum_assignment(-ov)
         for r, c in zip(ri, ci):
             a, b = sel_a[r], sel_b[c]
-            ea, eb = all_vals[i][a], all_vals[j][b]
+            ea, eb = energies[i, a], energies[j, b]
             if not ((ea < 0 <= eb) or (eb < 0 <= ea)):
                 continue
             if ov[r, c] < min_overlap:
@@ -482,7 +457,7 @@ def hinge_spectral_flow(
                 )
                 continue
             sign = 1 if eb > ea else -1
-            w = 0.5 * (all_weights[i][:, a] + all_weights[j][:, b])
+            w = 0.5 * (data.weights[i, a] + data.weights[j, b])
             hw = {n: float(w[r]) for n, r in zip(hinge_names, hinge_rows)}
             best = max(hw, key=hw.get)
             kcross = float(ka - ea * (kb - ka) / (eb - ea))
@@ -514,8 +489,8 @@ def hinge_spectral_flow(
         momenta=ks,
         energies=energies,
         warnings=warnings,
-        k_reversal=None if reversal is None else reversal.label,
-        solved_momenta=nsolve,
+        k_reversal=data.k_reversal,
+        solved_momenta=data.solved_momenta,
     )
 
 

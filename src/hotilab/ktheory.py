@@ -329,8 +329,8 @@ def _derive_with_data(c: ExactCouple, rng=None):
     With ``rng``, the alpha-lifts used for the new beta are perturbed by
     random kernel elements; by exactness the induced map on the derived
     groups must not change (this is the well-definedness property hook).
+    The input is trusted to be exact; the output is verified.
     """
-    c.verify()
     d, r = c.length, c.page
     dsq, esq = {}, {}
     for p in range(d + 1):
@@ -396,6 +396,7 @@ def derive_couple(c: ExactCouple) -> ExactCouple:
     Exactness of the input is verified first (raising with the offending
     node) and the output is verified before it is returned.
     """
+    c.verify()
     return _derive_with_data(c)[0]
 
 
@@ -465,8 +466,10 @@ def _page_chain(cd: CofiltrationData, last: int, rng=None) -> list:
     Entry r - 1 is (page-r couple, lifts), where ``lifts[q]`` lifts the
     generators of the bulk page-r group of parity q back to bulk-stratum
     coordinates.  ``rng`` perturbs the alpha-lifts of every page turn.
+    Every page is verified once: page 1 here, each later one as it is made.
     """
     c = build_couple(cd)
+    c.verify()
     lifts = {q: ieye(c.e_groups[(0, q)].ngens) for q in (0, 1)}
     chain = [(c, lifts)]
     while c.page < last:

@@ -22,6 +22,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .models import Assembly, Geometry, HoppingModel
+from .symmetry import momentum_reversal
 
 __all__ = [
     "DENSE_DIM_CAP",
@@ -163,12 +164,8 @@ class RegionPartition:
 
     def weights(self, vecs: np.ndarray) -> np.ndarray:
         """(#regions, #states) occupation weights of each column vector."""
-        out = np.zeros((len(self.names), vecs.shape[1]))
         dens = np.abs(vecs) ** 2
-        for i, name in enumerate(self.names):
-            diag = self.projector_diagonal(name, vecs.shape[0])
-            out[i] = diag @ dens
-        return out
+        return np.array([self.projector_diagonal(n, vecs.shape[0]) @ dens for n in self.names])
 
 
 def wire_regions(geometry: Geometry, norb: int) -> RegionPartition:
@@ -222,6 +219,8 @@ class BandData:
     energies: np.ndarray           # (#k, #bands)
     weights: np.ndarray | None     # (#k, #bands, #regions)
     region_names: tuple[str, ...]
+    k_reversal: str | None         # symmetry element that filled the -k half
+    solved_momenta: int
 
 
 def _disentangle_clusters(
@@ -253,6 +252,69 @@ def _disentangle_clusters(
     return vecs
 
 
+def _momentum_scan(
+    model: HoppingModel,
+    geometry: Geometry,
+    momenta,
+    nev: int | None,
+    partition: RegionPartition | None,
+    seed: int,
+    dense_cutoff: int,
+    keep_vectors: bool = False,
+):
+    """The one momentum-scan loop, behind ``band_structure`` and the hinge flow.
+
+    Solves the ``nev`` states nearest zero (all when None) on one assembly.
+    On a grid symmetric about k = 0 (momenta[n-1-i] = -momenta[i]) where
+    ``momentum_reversal`` finds an element, only the first ceil(n/2) momenta
+    are solved: the window at -k is the mapped window at k, with the same
+    energies, and must pass the folded solver's residual check against
+    H(-k) or the scan raises.  Returns the band data and, with
+    ``keep_vectors``, every window's (disentangled) eigenvectors.
+    """
+    momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
+    asm = Assembly(model, geometry)
+    n = len(momenta)
+    reversal = None
+    if np.all(np.abs(momenta + momenta[::-1]) <= 1e-12):
+        reversal = momentum_reversal(model, geometry)
+    nsolve = n if reversal is None else (n + 1) // 2
+    energies, weights, kept = [None] * n, [None] * n, [None] * n
+    for i in range(nsolve):
+        vals, vecs = near_zero_states(
+            asm.matrix(momenta[i]), asm.dim if nev is None else nev,
+            seed=seed, dense_cutoff=dense_cutoff,
+        )
+        found = {i: vecs}
+        j = n - 1 - i
+        if reversal is not None and j != i:
+            found[j] = _fix_phases(reversal.apply(vecs))
+            h = asm.matrix(momenta[j])
+            resid = np.max(np.linalg.norm(h @ found[j] - found[j] * vals[None, :], axis=0))
+            bound = RESIDUAL_FACTOR * spectral_norm_bound(h)
+            if resid > bound:
+                raise RuntimeError(
+                    f"{reversal.label} maps k={momenta[i].round(3).tolist()} with "
+                    f"residual {resid:.3e} above {bound:.3e} at k={momenta[j].round(3).tolist()}"
+                )
+        for idx, v in found.items():
+            energies[idx] = vals
+            if partition is not None:
+                v = _disentangle_clusters(vals, v, partition)
+                weights[idx] = partition.weights(v).T
+            if keep_vectors:
+                kept[idx] = v
+    data = BandData(
+        momenta,
+        np.array(energies),
+        None if partition is None else np.array(weights),
+        () if partition is None else partition.names,
+        None if reversal is None else reversal.label,
+        nsolve,
+    )
+    return data, kept if keep_vectors else None
+
+
 def band_structure(
     model: HoppingModel,
     geometry: Geometry,
@@ -263,29 +325,14 @@ def band_structure(
     dense_cutoff: int = 2048,
 ) -> BandData:
     """Spectrum along a momentum list; ``window`` keeps only that many
-    states nearest zero energy (folded solver route for large systems)."""
-    momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
-    asm = Assembly(model, geometry)
-    energies = []
-    weights = [] if partition is not None else None
-    for k in momenta:
-        h = asm.matrix(k)
-        if window is None:
-            vals, vecs = dense_eigh(h)
-        else:
-            vals, vecs = near_zero_states(
-                h, window, seed=seed, dense_cutoff=dense_cutoff
-            )
-        if partition is not None:
-            vecs = _disentangle_clusters(vals, vecs, partition)
-            weights.append(partition.weights(vecs).T)
-        energies.append(vals)
-    return BandData(
-        momenta,
-        np.array(energies),
-        None if weights is None else np.array(weights),
-        () if partition is None else partition.names,
-    )
+    states nearest zero energy (folded solver route for large systems).
+
+    On a grid symmetric about k = 0, a model with a k-reversing symmetry
+    element is solved at ceil(n/2) momenta and the rest are mapped (see
+    ``_momentum_scan``); ``k_reversal`` and ``solved_momenta`` record it.
+    Only a solved window and its image are held at a time.
+    """
+    return _momentum_scan(model, geometry, momenta, window, partition, seed, dense_cutoff)[0]
 
 
 def gap_at(model: HoppingModel, k) -> float:

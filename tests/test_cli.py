@@ -160,12 +160,16 @@ def test_spectrum_task_takes_folded_route_above_dense_cutoff(tmp_path, monkeypat
     assert summary["spectrum:ham1-g0.5-wire6"]["states"] == 4
 
 
-def test_workers_do_not_change_band_output(tmp_path):
-    cfg = validate_config(tiny_config(geometry=[{"kind": "slab-yz", "depth": 5}]))
+@pytest.mark.parametrize("geometry, name", [
+    ({"kind": "slab-yz", "depth": 5}, "bands-ham1-g0.5-slab-yz5.csv"),
+    ({"kind": "wire", "side": 6}, "bands-ham1-g0.5-wire6.csv"),
+], ids=["slab", "wire"])
+def test_workers_do_not_change_band_output(tmp_path, geometry, name):
+    cfg = validate_config(tiny_config(geometry=[geometry]))
     run_config(cfg, tmp_path / "w1", workers=1)
     run_config(cfg, tmp_path / "w3", workers=3)
-    a = (tmp_path / "w1" / "bands-ham1-g0.5-slab-yz5.csv").read_bytes()
-    b = (tmp_path / "w3" / "bands-ham1-g0.5-slab-yz5.csv").read_bytes()
+    a = (tmp_path / "w1" / name).read_bytes()
+    b = (tmp_path / "w3" / name).read_bytes()
     assert a == b
 
 
@@ -265,6 +269,17 @@ def test_check_symmetry_subcommand(capsys):
 def test_reproduce_unknown_id_rejected(tmp_path):
     with pytest.raises(ConfigError):
         reproduce("model9", tmp_path)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["chiral-quarter", "--seed", "-1"], "--seed"),
+    (["model2", "--seed", "-1", "--size", "6"], "--seed"),
+    (["model2", "--grid", "0", "--size", "6"], "--grid"),
+    (["chiral-quarter", "--size", "0"], "--size"),
+], ids=["quarter-seed", "model2-seed", "model2-grid", "quarter-size"])
+def test_reproduce_rejects_bad_overrides(tmp_path, capsys, argv, flag):
+    assert main(["reproduce", *argv, "--out", str(tmp_path / "out")]) == 2
+    assert f"config error at {flag}:" in capsys.readouterr().err
 
 
 def test_reproduce_chiral_quarter_small(tmp_path, capsys):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import hotilab.invariants as invariants
+import hotilab.spectral as spectral
 from hotilab.invariants import (
     CornerReport,
     _round_integer,
@@ -190,7 +190,7 @@ def test_hinge_flow_half_scan_matches_full_scan(monkeypatch, mname, side, nk):
     model = builtin_model(mname)
     kw = dict(side=side, nk=nk, window=12, dense_cutoff=256)
     half = hinge_spectral_flow(model, **kw)
-    monkeypatch.setattr(invariants, "momentum_reversal", lambda *args: None)
+    monkeypatch.setattr(spectral, "momentum_reversal", lambda *args: None)
     full = hinge_spectral_flow(model, **kw)
     assert (half.solved_momenta, full.solved_momenta) == ((nk + 1) // 2, nk)
     assert half.k_reversal is not None and full.k_reversal is None
@@ -219,13 +219,13 @@ def test_hinge_flow_falls_back_to_full_scan(monkeypatch):
     broken = HoppingModel(3, 4, hops)
     assert momentum_reversal(broken, wire_geometry(3, 6)) is None
     calls = []
-    solve = invariants.near_zero_states
+    solve = spectral.near_zero_states
 
     def counted(*args, **kwargs):
         calls.append(1)
         return solve(*args, **kwargs)
 
-    monkeypatch.setattr(invariants, "near_zero_states", counted)
+    monkeypatch.setattr(spectral, "near_zero_states", counted)
     rep = hinge_spectral_flow(broken, side=6, nk=9, window=8)
     assert len(calls) == 9
     assert rep.k_reversal is None and rep.solved_momenta == 9
@@ -236,7 +236,7 @@ def test_hinge_flow_rejects_a_wrong_map(monkeypatch):
     model = builtin_model("ham1")
     rev = momentum_reversal(model, wire_geometry(3, 6))
     wrong = MomentumReversal("wrong", rev.site_perm, np.eye(4, dtype=complex), False)
-    monkeypatch.setattr(invariants, "momentum_reversal", lambda *args: wrong)
+    monkeypatch.setattr(spectral, "momentum_reversal", lambda *args: wrong)
     with pytest.raises(RuntimeError, match="residual"):
         hinge_spectral_flow(model, side=6, nk=9, window=8)
 

@@ -325,6 +325,25 @@ def test_report_turns_each_page_once(monkeypatch):
                 assert rep["boundary_maps"][f"delta^{r}_q{q}"] == expected
 
 
+def test_report_verifies_each_page_once(monkeypatch):
+    # page 1 is verified when built, each later page when it is derived
+    pages = []
+    verify = ktheory.ExactCouple.verify
+
+    def counted(self):
+        pages.append(self.page)
+        return verify(self)
+
+    monkeypatch.setattr(ktheory.ExactCouple, "verify", counted)
+    rng = np.random.default_rng(5)
+    randoms = [random_cofiltration(rng) for _ in range(9)]
+    assert {cd.length for cd in randoms} == {1, 2, 3}
+    for cd in [preset_cofiltration(n) for n in PRESET_NAMES] + randoms:
+        pages.clear()
+        couple_report(cd)
+        assert sorted(pages) == list(range(1, cd.length + 1))
+
+
 def test_report_is_json_serializable():
     for name in PRESET_NAMES:
         json.dumps(couple_report(preset_cofiltration(name)))

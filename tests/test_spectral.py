@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hotilab.spectral as spectral
 from hotilab.models import (
+    Assembly,
+    HoppingModel,
     builtin_model,
     cube_geometry,
     instantiate,
@@ -186,6 +189,52 @@ def test_band_structure_shapes_and_window():
         full = data.energies[ik]
         sel = np.sort(full[np.argsort(np.abs(full), kind="stable")[:8]])
         assert np.max(np.abs(sel - windowed.energies[ik])) < RTOL
+
+
+@pytest.mark.parametrize("mname, side, nk", [
+    ("ham1", 8, 9), ("ham1", 10, 10), ("ham2", 10, 9),
+    ("ham2", 12, 12), ("ham3", 8, 8), ("ham3", 12, 11),
+])
+def test_halved_band_scan_matches_full_scan(monkeypatch, mname, side, nk):
+    model = builtin_model(mname)
+    geo = wire_geometry(3, side)
+    part = wire_regions(geo, model.norb)
+    ks = np.linspace(-np.pi, np.pi, nk)[:, None]
+    kw = dict(partition=part, window=12, dense_cutoff=256)
+    half = band_structure(model, geo, ks, **kw)
+    monkeypatch.setattr(spectral, "momentum_reversal", lambda *args: None)
+    full = band_structure(model, geo, ks, **kw)
+    assert (half.solved_momenta, full.solved_momenta) == ((nk + 1) // 2, nk)
+    assert half.k_reversal is not None and full.k_reversal is None
+    bound = spectral_norm_bound(Assembly(model, geo).matrix((0.0,)))
+    assert np.max(np.abs(half.energies - full.energies)) <= 1e-12 * bound
+    assert np.max(np.abs(half.weights - full.weights)) <= 1e-8
+
+
+def test_band_scan_without_reversal_solves_every_momentum(monkeypatch):
+    # the seeded symmetry-broken model of the hinge-flow fallback test
+    base = builtin_model("ham1")
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    hops = dict(base.hoppings)
+    hops[(0, 0, 0)] = hops[(0, 0, 0)] + 0.05 * (a + a.conj().T)
+    broken = HoppingModel(3, 4, hops)
+    calls = []
+    solve = spectral.near_zero_states
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "near_zero_states", counted)
+    geo = wire_geometry(3, 6)
+    data = band_structure(
+        broken, geo, np.linspace(-np.pi, np.pi, 9)[:, None],
+        partition=wire_regions(geo, 4), window=8,
+    )
+    assert len(calls) == 9
+    assert data.k_reversal is None and data.solved_momenta == 9
+    assert data.energies.shape == (9, 8) and data.weights.shape == (9, 8, 9)
 
 
 def test_band_csv_roundtrip(tmp_path):
