@@ -12,11 +12,7 @@ diagnostics), 3 task/solver failure (with a module error payload).
 Outputs are deterministic for a fixed config and seed: CSV floats use a
 fixed format, JSON is written with sorted keys, and the manifest's
 config hash covers exactly the semantically meaningful fields (not the
-output directory or cosmetic names).  ``--workers`` threads split only the
-dense slab momentum grids; every wire scan runs on the calling thread, one
-momentum after another, halved on symmetric grids (see
-``spectral.band_structure``), so its output cannot depend on the worker
-count.
+output directory or cosmetic names).
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ import platform
 import sys
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -51,7 +46,6 @@ from .ktheory import (
 )
 from .models import (
     BUILTIN_MODELS,
-    Assembly,
     Geometry,
     HoppingModel,
     builtin_model,
@@ -72,8 +66,11 @@ from .patterns import (
 )
 from .spectral import (
     band_structure,
+    dense_spectra,
     minimum_bulk_gap,
     near_zero_states,
+    slab_bloch,
+    slab_gap_scan,
     wire_regions,
     write_band_csv,
     write_spectrum_csv,
@@ -298,44 +295,6 @@ def _panels(cfg: dict):
             yield label, model, _make_geometry(gspec, model.dimension)
 
 
-def _parallel_map(fn, items, workers: int):
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-# ---------------------------------------------------------------------------
-# slab scans (dense Bloch blocks of the slab's assembly)
-
-
-def slab_bloch(model: HoppingModel, direction: int, depth: int):
-    """h(k_parallel) for a slab: its dense blocks B_delta, summed with phases."""
-    asm = Assembly(model, slab_geometry(model.dimension, direction, depth))
-    blocks = asm.dense_blocks()
-
-    def h(kpar):
-        out = np.zeros((asm.dim, asm.dim), dtype=complex)
-        for amp, block in zip(asm.phases(kpar), blocks):
-            out += amp * block
-        return out
-
-    return h
-
-
-def slab_gap_scan(model: HoppingModel, direction: int, depth: int, nk: int, workers: int = 1) -> float:
-    """min |E| over an nk x nk momentum grid of the slab spectrum."""
-    h = slab_bloch(model, direction, depth)
-    ks = np.linspace(-np.pi, np.pi, nk, endpoint=False)
-
-    def row_min(k1):
-        return min(
-            float(np.min(np.abs(np.linalg.eigvalsh(h((k1, k2)))))) for k2 in ks
-        )
-
-    return min(_parallel_map(row_min, list(ks), workers))
-
-
 # ---------------------------------------------------------------------------
 # task implementations
 
@@ -344,7 +303,7 @@ def _momentum_path(nk: int) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, nk)
 
 
-def _task_spectrum(model, geometry, solver, outdir, label, workers):
+def _task_spectrum(model, geometry, solver, outdir, label):
     momentum = (0.0,) * len(geometry.periodic_dirs)
     ham = instantiate(model, geometry, momentum)
     vals, vecs = near_zero_states(
@@ -366,12 +325,12 @@ def _task_spectrum(model, geometry, solver, outdir, label, workers):
     return [path], summary
 
 
-def _task_bands(model, geometry, solver, outdir, label, workers):
+def _task_bands(model, geometry, solver, outdir, label):
     nk = solver["k_grid"]
     nper = len(geometry.periodic_dirs)
     path = outdir / f"bands-{label}.csv"
-    if nper == 0:
-        _fail("geometry", "bands need at least one periodic direction")
+    if nper == 0 or not geometry.open_dirs:
+        _fail("geometry", "bands need a slab or wire: at least one periodic and one open direction")
     if nper == 1:
         part = wire_regions(geometry, model.norb) if len(geometry.open_dirs) >= 2 else None
         window = min(solver["window"], len(geometry.sites()) * model.norb)
@@ -397,17 +356,14 @@ def _task_bands(model, geometry, solver, outdir, label, workers):
     # two periodic directions: scan a line for plotting, a grid for the gap
     direction = geometry.open_dirs[0]
     depth = int(geometry.extents[direction])
-    h = slab_bloch(model, direction, depth)
     line = _momentum_path(nk)
-    energies = _parallel_map(
-        lambda k: np.linalg.eigvalsh(h((k, 0.0))), list(line), workers
-    )
+    energies = list(dense_spectra(slab_bloch(model, direction, depth), [(k, 0.0) for k in line]))
     with open(path, "w") as fh:
         fh.write("k1,k2,band,energy\n")
         for k, vals in zip(line, energies):
             for b, e in enumerate(vals):
                 fh.write(f"{k:.12g},0,{b},{e:.12g}\n")
-    gap = slab_gap_scan(model, direction, depth, nk, workers)
+    gap = slab_gap_scan(model, direction, depth, nk)
     return [path], {"min_abs_energy_grid": gap, "min_abs_energy_line": float(np.min(np.abs(energies)))}
 
 
@@ -418,7 +374,7 @@ def _hinge_flow(model, side, solver) -> HingeReport:
     )
 
 
-def _task_invariants(model, geometry, solver, outdir, label, workers):
+def _task_invariants(model, geometry, solver, outdir, label):
     out = {}
     if model.dimension == 2 and model.chirality is not None:
         side = geometry.extents[0] or DEFAULT_SIZES["quarter"]
@@ -524,7 +480,7 @@ def _versions() -> dict:
     }
 
 
-def run_config(cfg: dict, out_dir, workers: int = 1) -> dict:
+def run_config(cfg: dict, out_dir) -> dict:
     """Execute the task list; write artifacts + manifest.json; return summary."""
     outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -536,7 +492,7 @@ def run_config(cfg: dict, out_dir, workers: int = 1) -> dict:
         if task in per_panel:
             for label, model, geometry in _panels(cfg):
                 p0 = time.perf_counter()
-                fs, sm = runners[task](model, geometry, cfg["solver"], outdir, label, workers)
+                fs, sm = runners[task](model, geometry, cfg["solver"], outdir, label)
                 files += fs
                 summary[f"{task}:{label}"] = sm
                 wall[f"{task}:{label}"] = round(time.perf_counter() - p0, 3)
@@ -561,7 +517,6 @@ def run_config(cfg: dict, out_dir, workers: int = 1) -> dict:
         "name": cfg.get("name", ""),
         "seed": cfg["solver"]["seed"],
         "versions": _versions(),
-        "workers": workers,
         "files": sorted(str(p.name) for p in files),
         "wall_times": wall,
     }
@@ -577,7 +532,7 @@ def _claim(claims, text, ok, value):
     claims.append({"claim": text, "ok": bool(ok), "value": value})
 
 
-def _reproduce_model1(outdir, solver, sizes, workers):
+def _reproduce_model1(outdir, solver, sizes):
     claims = []
     cfg = {
         "name": "model1",
@@ -590,7 +545,7 @@ def _reproduce_model1(outdir, solver, sizes, workers):
         "tasks": ["bands"],
         "solver": solver,
     }
-    summary = run_config(validate_config(cfg), outdir, workers)
+    summary = run_config(validate_config(cfg), outdir)
     gap = minimum_bulk_gap(builtin_model("ham1", 0.5), resolution=solver["bulk_grid"])
     _claim(claims, "bulk spectrum gapped (gap > 0.3) at gamma=0.5", gap > 0.3, gap)
     for orient in ("slab-yz", "slab-xy"):
@@ -613,11 +568,11 @@ def _hinge_claims(claims, model_name, rep: HingeReport, expect):
     return flows
 
 
-def _reproduce_model2(outdir, solver, sizes, workers):
+def _reproduce_model2(outdir, solver, sizes):
     claims = []
     model = builtin_model("ham2", 0.5)
     for orient, direction in SLAB_DIRECTIONS.items():
-        g = slab_gap_scan(model, direction, sizes["slab"], solver["k_grid"], workers)
+        g = slab_gap_scan(model, direction, sizes["slab"], solver["k_grid"])
         if orient == "slab-xy":
             # the rotation-invariant top/bottom faces keep protected cones
             _claim(claims, f"{orient} face gapless (min|E| < 0.05)", g < 0.05, g)
@@ -630,7 +585,7 @@ def _reproduce_model2(outdir, solver, sizes, workers):
         "tasks": ["bands"],
         "solver": solver,
     }
-    summary = run_config(validate_config(cfg), outdir, workers)
+    summary = run_config(validate_config(cfg), outdir)
     hw = summary[f"bands:ham2-g0.5-wire{sizes['wire']}"]["max_hinge_weight_near_zero"]
     _claim(claims, "in-gap states localized on hinges (weight > 0.5)", hw > 0.5, hw)
     rep = _hinge_flow(model, sizes["wire"], solver)
@@ -639,7 +594,7 @@ def _reproduce_model2(outdir, solver, sizes, workers):
     return claims, list(rep.warnings)
 
 
-def _reproduce_model3(outdir, solver, sizes, workers):
+def _reproduce_model3(outdir, solver, sizes):
     claims = []
     cfg = {
         "name": "model3",
@@ -648,7 +603,7 @@ def _reproduce_model3(outdir, solver, sizes, workers):
         "tasks": ["bands"],
         "solver": solver,
     }
-    run_config(validate_config(cfg), outdir, workers)
+    run_config(validate_config(cfg), outdir)
     rep = _hinge_flow(builtin_model("ham3", 0.5), sizes["wire"], solver)
     _write_json(Path(outdir) / "hinge-flow-ham3.json", rep.to_dict())
     flows = _hinge_claims(claims, "ham3", rep, "single-hinge parity equals 1")
@@ -684,7 +639,7 @@ def _cube_mode_weights(model, side, nev, seed, outdir, label):
     return hinge, float(np.mean(edge_fraction))
 
 
-def _reproduce_hinge_modes(outdir, solver, sizes, workers):
+def _reproduce_hinge_modes(outdir, solver, sizes):
     claims = []
     side, nev, seed = sizes["cube"], solver["nev"], solver["seed"]
     h1, edge1 = _cube_mode_weights(builtin_model("ham1", 0.5), side, nev, seed, outdir, "ham1")
@@ -720,7 +675,7 @@ def _reproduce_hinge_modes(outdir, solver, sizes, workers):
     return claims, []
 
 
-def _reproduce_chiral_quarter(outdir, solver, sizes, workers):
+def _reproduce_chiral_quarter(outdir, solver, sizes):
     claims = []
     model = builtin_model("chiral-quarter-uC")
     rep = corner_index(model, side=sizes["quarter"], nev=solver["nev"], seed=solver["seed"])
@@ -743,7 +698,7 @@ def _reproduce_chiral_quarter(outdir, solver, sizes, workers):
     return claims, list(rep.warnings)
 
 
-def reproduce(rid: str, out_dir, workers: int = 1, solver=None, sizes=None) -> dict:
+def reproduce(rid: str, out_dir, solver=None, sizes=None) -> dict:
     """Run a canned desk-scale data set; returns the PASS/FAIL summary,
     including the warnings of any hinge-flow or corner report it made."""
     if rid not in REPRODUCE_IDS:
@@ -760,7 +715,7 @@ def reproduce(rid: str, out_dir, workers: int = 1, solver=None, sizes=None) -> d
         "chiral-quarter": _reproduce_chiral_quarter,
     }[rid]
     t0 = time.perf_counter()
-    claims, warnings = runner(outdir, solver, sizes, workers)
+    claims, warnings = runner(outdir, solver, sizes)
     summary = {
         "id": rid,
         "claims": claims,
@@ -780,7 +735,6 @@ def reproduce(rid: str, out_dir, workers: int = 1, solver=None, sizes=None) -> d
 
 def _add_common_flags(p):
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--workers", type=int, default=1, help="worker threads for slab grid scans")
     p.add_argument("--seed", type=int, default=None, help="solver seed override")
     p.add_argument("--grid", type=int, default=None, help="momentum grid override")
     p.add_argument("--size", type=int, default=None, help="geometry size override")
@@ -844,7 +798,7 @@ def _cmd_run(args) -> int:
     cfg = _apply_overrides(validate_config(doc), args)
     out = args.out or cfg.get("out") or f"out/{cfg.get('name') or 'run'}"
     try:
-        summary = run_config(cfg, out, workers=max(1, args.workers))
+        summary = run_config(cfg, out)
     except ConfigError:
         raise
     except Exception as e:  # solver / task failure
@@ -867,7 +821,7 @@ def _cmd_reproduce(args) -> int:
     if args.size is not None:
         sizes = dict.fromkeys(DEFAULT_SIZES, _check_int(args.size, "--size"))
     try:
-        summary = reproduce(args.id, out, workers=max(1, args.workers), solver=solver, sizes=sizes)
+        summary = reproduce(args.id, out, solver=solver, sizes=sizes)
     except ConfigError:
         raise
     except Exception as e:

@@ -16,12 +16,13 @@ from itertools import product
 import numpy as np
 import scipy.optimize
 
-from .models import Assembly, HoppingModel, instantiate, quarter_geometry, slab_geometry, wire_geometry
+from .models import HoppingModel, instantiate, quarter_geometry, wire_geometry
 from .spectral import (
     _disentangle_clusters,
     _momentum_scan,
     corner_regions,
     near_zero_states,
+    slab_gap_scan,
     spectral_norm_bound,
     wire_regions,
 )
@@ -234,15 +235,9 @@ class CornerReport:
         }
 
 
-def _edge_gap(model: HoppingModel, depth: int, nk: int = 41) -> float:
+def _edge_gap(model: HoppingModel, depth: int) -> float:
     """Min |E| over both half-space edge spectra (momentum along the edge)."""
-    gap = np.inf
-    for direction in range(2):
-        asm = Assembly(model, slab_geometry(2, direction, depth))
-        for k in np.linspace(-np.pi, np.pi, nk):
-            h = asm.matrix((k,)).toarray()
-            gap = min(gap, float(np.min(np.abs(np.linalg.eigvalsh(h)))))
-    return gap
+    return min(slab_gap_scan(model, d, depth, 40) for d in (0, 1))
 
 
 def corner_index(

@@ -8,7 +8,8 @@ subspace; ``near_zero_states`` alone chooses between them.  Band scans build
 a model's assembly once and evaluate it per momentum, and attach per-region
 spatial weights (regions are masks on the geometry's site array),
 disentangling degenerate clusters so weights are stable under basis
-ambiguity.
+ambiguity.  Gap scans (slabs, edges, the bulk) run one dense ``eigvalsh``
+loop, ``dense_spectra``, over a Bloch callable.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .models import Assembly, Geometry, HoppingModel
+from .models import Assembly, Geometry, HoppingModel, slab_geometry
 from .symmetry import momentum_reversal
 
 __all__ = [
@@ -35,7 +36,9 @@ __all__ = [
     "corner_regions",
     "BandData",
     "band_structure",
-    "gap_at",
+    "dense_spectra",
+    "slab_bloch",
+    "slab_gap_scan",
     "minimum_bulk_gap",
     "write_band_csv",
     "write_spectrum_csv",
@@ -335,18 +338,48 @@ def band_structure(
     return _momentum_scan(model, geometry, momenta, window, partition, seed, dense_cutoff)[0]
 
 
-def gap_at(model: HoppingModel, k) -> float:
-    """Distance of the Bloch spectrum from zero energy at one momentum."""
-    return float(np.min(np.abs(np.linalg.eigvalsh(model.bloch(k)))))
+# ---------------------------------------------------------------------------
+# gap scans (dense Bloch matrices, eigenvalues only)
+
+def dense_spectra(bloch, momenta):
+    """Ascending eigenvalues of the dense hermitian ``bloch(k)``, one array
+    per momentum, computed lazily: the one loop behind every gap scan."""
+    return (np.linalg.eigvalsh(bloch(k)) for k in momenta)
+
+
+def _grid(nk: int, m: int):
+    """The nk^m momenta of a uniform grid on [-pi, pi)^m, last axis fastest."""
+    return product(np.linspace(-np.pi, np.pi, nk, endpoint=False), repeat=m)
+
+
+def _min_abs(spectra) -> float:
+    return min(float(np.min(np.abs(vals))) for vals in spectra)
+
+
+def slab_bloch(model: HoppingModel, direction: int, depth: int):
+    """h(k_parallel) for a slab: its dense blocks B_delta, summed with phases."""
+    asm = Assembly(model, slab_geometry(model.dimension, direction, depth))
+    blocks = asm.dense_blocks()
+
+    def h(kpar):
+        out = np.zeros((asm.dim, asm.dim), dtype=complex)
+        for amp, block in zip(asm.phases(kpar), blocks):
+            out += amp * block
+        return out
+
+    return h
+
+
+def slab_gap_scan(model: HoppingModel, direction: int, depth: int, nk: int) -> float:
+    """min |E| of a slab open along ``direction`` over an nk^m grid of its
+    m periodic directions (the faces of a 3D model, the edges of a 2D one)."""
+    h = slab_bloch(model, direction, depth)
+    return _min_abs(dense_spectra(h, _grid(nk, model.dimension - 1)))
 
 
 def minimum_bulk_gap(model: HoppingModel, resolution: int = 21) -> float:
-    """Min spectral gap over a uniform momentum grid."""
-    axes = [np.linspace(-np.pi, np.pi, resolution, endpoint=False)] * model.dimension
-    best = np.inf
-    for k in product(*axes):
-        best = min(best, gap_at(model, k))
-    return float(best)
+    """Min |E| of the Bloch spectrum over a uniform momentum grid."""
+    return _min_abs(dense_spectra(model.bloch, _grid(resolution, model.dimension)))
 
 
 # ---------------------------------------------------------------------------

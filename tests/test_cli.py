@@ -18,11 +18,11 @@ from hotilab.cli import (
     main,
     reproduce,
     run_config,
-    slab_bloch,
     validate_config,
 )
 from hotilab.invariants import CornerReport, HingeReport
 from hotilab.models import builtin_model, instantiate, slab_geometry
+from hotilab.spectral import slab_bloch
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -96,13 +96,14 @@ def test_hash_ignores_out_and_name_but_tracks_solver():
 
 def test_slab_bloch_matches_real_space_assembly():
     rng = np.random.default_rng(20260814)
-    for name in ("ham1", "ham2"):
-        model = builtin_model(name, 0.5)
-        for direction in range(3):
-            geo = slab_geometry(3, direction, 5)
+    models = [builtin_model(name, 0.5) for name in ("ham1", "ham2")]
+    models.append(builtin_model("chiral-quarter-uC"))  # 2D: edge slabs
+    for model in models:
+        for direction in range(model.dimension):
+            geo = slab_geometry(model.dimension, direction, 5)
             h = slab_bloch(model, direction, 5)
             for _ in range(3):
-                k = rng.uniform(-np.pi, np.pi, 2)
+                k = rng.uniform(-np.pi, np.pi, model.dimension - 1)
                 dense = instantiate(model, geo, tuple(k)).dense()
                 assert np.max(np.abs(dense - h(k))) < 1e-12
 
@@ -160,19 +161,6 @@ def test_spectrum_task_takes_folded_route_above_dense_cutoff(tmp_path, monkeypat
     assert summary["spectrum:ham1-g0.5-wire6"]["states"] == 4
 
 
-@pytest.mark.parametrize("geometry, name", [
-    ({"kind": "slab-yz", "depth": 5}, "bands-ham1-g0.5-slab-yz5.csv"),
-    ({"kind": "wire", "side": 6}, "bands-ham1-g0.5-wire6.csv"),
-], ids=["slab", "wire"])
-def test_workers_do_not_change_band_output(tmp_path, geometry, name):
-    cfg = validate_config(tiny_config(geometry=[geometry]))
-    run_config(cfg, tmp_path / "w1", workers=1)
-    run_config(cfg, tmp_path / "w3", workers=3)
-    a = (tmp_path / "w1" / name).read_bytes()
-    b = (tmp_path / "w3" / name).read_bytes()
-    assert a == b
-
-
 def test_main_run_success_exit_zero(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config()))
@@ -189,6 +177,14 @@ def test_main_validation_failure_exit_two(tmp_path, capsys):
     cfg_path.write_text("{not json")
     assert main(["run", str(cfg_path)]) == 2
     assert main(["run", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("model", [{"name": "ham1"}, {"name": "chiral-quarter-uC"}], ids=["ham1", "quarter"])
+def test_main_bulk_bands_exit_two(tmp_path, capsys, model):
+    cfg_path = tmp_path / "bulk.json"
+    cfg_path.write_text(json.dumps(tiny_config(model=model, geometry={"kind": "bulk"})))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error at geometry:" in capsys.readouterr().err
 
 
 def test_main_solver_failure_exit_three(tmp_path, capsys):

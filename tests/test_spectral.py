@@ -1,4 +1,6 @@
-"""Eigensolver routes, region weights, band scans."""
+"""Eigensolver routes, region weights, band scans, gap scans."""
+
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,9 +23,9 @@ from hotilab.spectral import (
     corner_regions,
     dense_eigh,
     folded_near_zero,
-    gap_at,
     minimum_bulk_gap,
     near_zero_states,
+    slab_gap_scan,
     spectral_norm_bound,
     wire_regions,
     write_band_csv,
@@ -262,6 +264,38 @@ def test_spectrum_csv(tmp_path):
 
 def test_bulk_gap_scan():
     m = builtin_model("ham1")
-    assert gap_at(m, (0, 0, 0)) > 4.0
+    assert np.min(np.abs(np.linalg.eigvalsh(m.bloch((0, 0, 0))))) > 4.0
     g = minimum_bulk_gap(m, resolution=13)
     assert 0.1 < g < 2.0
+
+
+def test_gap_scans_match_per_momentum_reference():
+    """Slab faces (3D), edges (2D) and the bulk against a plain loop of
+    eigvalsh over real-space assembly and ``model.bloch``."""
+    nk = 5
+    axis = np.linspace(-np.pi, np.pi, nk, endpoint=False)
+
+    def low_and_tol(mats):
+        low = min(float(np.min(np.abs(np.linalg.eigvalsh(h)))) for h in mats)
+        return low, 1e-12 * max(spectral_norm_bound(h) for h in mats)
+
+    def perturbed(model):
+        # a seeded on-site term moves the minimum off the symmetric momenta
+        # that every uniform grid shares
+        a = np.random.default_rng(7).normal(size=(model.norb,) * 2)
+        hops = dict(model.hoppings)
+        zero = (0,) * model.dimension
+        hops[zero] = hops.get(zero, 0) + 0.05 * (a + a.T)
+        return HoppingModel(model.dimension, model.norb, hops)
+
+    models = [builtin_model("ham1", 0.5), builtin_model("ham2", 0.5), builtin_model("chiral-quarter-uC")]
+    models += [perturbed(m) for m in models]
+    for model in models:
+        for direction in range(model.dimension):
+            geo = slab_geometry(model.dimension, direction, 5)
+            low, tol = low_and_tol(
+                [instantiate(model, geo, k).dense() for k in product(axis, repeat=model.dimension - 1)]
+            )
+            assert abs(slab_gap_scan(model, direction, 5, nk) - low) <= tol
+        low, tol = low_and_tol([model.bloch(k) for k in product(axis, repeat=model.dimension)])
+        assert abs(minimum_bulk_gap(model, resolution=nk) - low) <= tol
