@@ -4,6 +4,7 @@ Heavy physics goes through tiny geometries here; the desk-scale numbers
 live in the acceptance suite.
 """
 
+import ast
 import json
 import shlex
 from pathlib import Path
@@ -13,8 +14,13 @@ import pytest
 
 from hotilab import cli, spectral
 from hotilab.cli import (
+    CLAIMS,
+    REPRODUCE_IDS,
+    Claim,
     ConfigError,
+    Scan,
     config_hash,
+    evaluate,
     main,
     reproduce,
     run_config,
@@ -179,6 +185,24 @@ def test_main_validation_failure_exit_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("argv, content", [
+    (["run", "{path}"], None),
+    (["run", "{path}"], b"\xff\xfe{}"),
+    (["transversal", "{path}"], b"[1]"),
+    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["bands"], "solver": [1]}'),
+    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["kss"], "kss": [1]}'),
+    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["symmetry-check"], "symmetry": [1]}'),
+], ids=["run-directory", "run-not-utf8", "transversal-list", "solver-list", "kss-list", "symmetry-list"])
+def test_malformed_input_exit_two(tmp_path, capsys, argv, content):
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main([a.format(path=path) for a in argv]) == 2
+    assert "config error at" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("model", [{"name": "ham1"}, {"name": "chiral-quarter-uC"}], ids=["ham1", "quarter"])
 def test_main_bulk_bands_exit_two(tmp_path, capsys, model):
     cfg_path = tmp_path / "bulk.json"
@@ -338,4 +362,77 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     for i, argv in enumerate(commands):
         # a later --out overrides the README's own
         argv += ["--size", "8", "--grid", "5", "--out", str(tmp_path / str(i))]
-        assert main(argv) == 0, argv
+        code = main(argv)
+        if argv[0] == "reproduce":
+            # small sizes may fail claims; then, and only then, the exit is 1
+            summary = json.loads((tmp_path / str(i) / "summary.json").read_text())
+            assert code == (0 if summary["passed"] else 1), argv
+        else:
+            assert code == 0, argv
+
+
+# ---------------------------------------------------------------------------
+# the claims table
+
+def test_claims_table_is_consistent():
+    ids = [c.id for c in CLAIMS]
+    assert len(ids) == len(set(ids))
+    assert all(c.xfail is None or c.xfail.strip() for c in CLAIMS)
+    assert len([c for c in CLAIMS if c.xfail]) == 2
+    for rid in REPRODUCE_IDS:
+        assert any(c.reproduce == rid for c in CLAIMS), rid
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    named = [
+        arg.value for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check"
+        for arg in node.args if isinstance(arg, ast.Constant)
+    ]
+    assert named and set(named) <= set(ids)
+
+
+class _StubScans:
+    def __init__(self, value):
+        self.value = value
+
+    def read(self, scan):
+        return self.value
+
+
+@pytest.mark.parametrize("value, xfail, status", [
+    (2.0, None, "PASS"),
+    (0.5, None, "FAIL"),
+    (0.5, "out of reach", "XFAIL"),
+    (2.0, "out of reach", "XPASS"),
+])
+def test_claim_status(value, xfail, status):
+    row = Claim("stub", "value above 1", Scan("gap", "ham1"), lambda v: v > 1, xfail=xfail)
+    out = evaluate(row, _StubScans(value))
+    assert out["status"] == status
+    assert out["ok"] == (value > 1) and out["value"] == value
+    assert out.get("reason") == xfail
+
+
+# (hinge, edge) of each cube: hinge-modes passes, its one xfail row failing
+CUBES = {
+    "ham1": ({"hinge1": 0.2, "hinge2": 0.05, "hinge3": 0.2, "hinge4": 0.05}, 0.9),
+    "ham3": ({"hinge1": 0.2, "hinge2": 0.2, "hinge3": 0.2, "hinge4": 0.2}, 0.9),
+}
+
+
+@pytest.mark.parametrize("ham1, code, statuses", [
+    (CUBES["ham1"], 0, ["XFAIL", "PASS", "PASS", "PASS", "PASS"]),
+    (({"hinge1": 0.4, "hinge2": 0.05, "hinge3": 0.4, "hinge4": 0.05}, 0.9), 1,
+     ["XPASS", "PASS", "PASS", "PASS", "PASS"]),
+    ((CUBES["ham1"][0], 0.3), 1, ["XFAIL", "FAIL", "PASS", "PASS", "PASS"]),
+], ids=["xfail", "xpass", "fail"])
+def test_reproduce_exit_code_follows_claim_status(tmp_path, monkeypatch, capsys, ham1, code, statuses):
+    cubes = {**CUBES, "ham1": ham1}
+    monkeypatch.setattr(cli.Scans, "cube", lambda self, label, model, geometry: cubes[model.name])
+    assert main(["reproduce", "hinge-modes", "--out", str(tmp_path)]) == code
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [c["status"] for c in summary["claims"]] == statuses
+    assert summary["passed"] == (code == 0)
+    reason = next(c.xfail for c in CLAIMS if c.xfail and c.reproduce == "hinge-modes")
+    assert summary["claims"][0]["reason"] == reason
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines[:5]] == statuses
