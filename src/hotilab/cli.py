@@ -238,10 +238,11 @@ def _normalize_transversal(opts, path) -> dict:
         _fail(path, "expected an object")
     if "patterns" in opts:
         try:
-            for p in opts["patterns"]:
-                pattern_from_dict(p)
+            dims = {pattern_from_dict(p).dimension for p in opts["patterns"]}
         except Exception as e:
             _fail(f"{path}.patterns", f"not valid patterns ({e})")
+        if len(dims) != 1:
+            _fail(f"{path}.patterns", "expected a non-empty list of patterns of one dimension")
         return {"patterns": opts["patterns"]}
     seeds = opts.get("seeds")
     if seeds not in ("quarter", "square", "square-3d", "cube"):
@@ -387,7 +388,10 @@ def _task_invariants(model, geometry, scans, outdir, label):
     out = {}
     if model.dimension == 2 and model.chirality is not None:
         side = geometry.extents[0] or DEFAULT_SIZES["quarter"]
-        rep = corner_index(model, side=int(side), nev=solver["nev"], seed=solver["seed"])
+        rep = corner_index(
+            model, side=int(side), nev=solver["nev"], seed=solver["seed"],
+            dense_cutoff=solver["dense_cutoff"],
+        )
         out["corner"] = rep.to_dict()
     elif model.dimension == 3 and geometry.periodic_dirs and len(geometry.open_dirs) == 2:
         rep = scans.flow(label, model, geometry)
@@ -610,6 +614,7 @@ class Scans:
     def corner(self, label, model, geometry) -> CornerReport:
         rep = corner_index(
             model, side=int(geometry.extents[0]), nev=self.solver["nev"], seed=self.solver["seed"],
+            dense_cutoff=self.solver["dense_cutoff"],
         )
         self._record("corner-report.json", rep)
         return rep
@@ -625,7 +630,10 @@ class Scans:
         mean weight within two sites of a cube edge."""
         side = int(geometry.extents[0])
         ham = instantiate(model, geometry)
-        vals, vecs = near_zero_states(ham.matrix, self.solver["nev"], seed=self.solver["seed"])
+        vals, vecs = near_zero_states(
+            ham.matrix, self.solver["nev"], seed=self.solver["seed"],
+            dense_cutoff=self.solver["dense_cutoff"],
+        )
         part = wire_regions(geometry, model.norb)  # four vertical hinge columns
         weights = part.weights(vecs)
         sites = geometry.site_array()
@@ -928,14 +936,7 @@ def _cmd_run(args) -> int:
     doc = _load_json(args.config, "config")
     cfg = _apply_overrides(validate_config(doc), args)
     out = args.out or cfg.get("out") or f"out/{cfg.get('name') or 'run'}"
-    try:
-        summary = run_config(cfg, out)
-    except ConfigError:
-        raise
-    except Exception as e:  # solver / task failure
-        json.dump(_fail_payload("run", e), sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 3
+    summary = run_config(cfg, out)
     print(json.dumps(summary, indent=2, sort_keys=True, default=str))
     return 0
 
@@ -951,14 +952,7 @@ def _cmd_reproduce(args) -> int:
     sizes = {}
     if args.size is not None:
         sizes = dict.fromkeys(DEFAULT_SIZES, _check_int(args.size, "--size"))
-    try:
-        summary = reproduce(args.id, out, solver=solver, sizes=sizes)
-    except ConfigError:
-        raise
-    except Exception as e:
-        json.dump(_fail_payload(f"reproduce:{args.id}", e), sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 3
+    summary = reproduce(args.id, out, solver=solver, sizes=sizes)
     for c in summary["claims"]:
         print(f"{c['status']}: {c['claim']} (value: {c['value']})")
     for w in summary["warnings"]:
@@ -971,18 +965,14 @@ def _cmd_kss(args) -> int:
     if args.which in PRESET_NAMES:
         cd = preset_cofiltration(args.which)
     elif Path(args.which).is_file():
+        doc = _load_json(args.which, "kss")
         try:
-            cd = cofiltration_from_dict(json.loads(Path(args.which).read_text()))
+            cd = cofiltration_from_dict(doc)
         except Exception as e:
-            _fail("kss", f"could not load cofiltration from {args.which}: {e}")
+            _fail("kss", f"not a valid cofiltration in {args.which} ({e})")
     else:
         _fail("kss", f"unknown preset {args.which!r} and no such file")
-    try:
-        rep = couple_report(cd)
-    except Exception as e:
-        json.dump(_fail_payload("kss", e), sys.stderr, indent=2)
-        sys.stderr.write("\n")
-        return 3
+    rep = couple_report(cd)
     text = json.dumps(rep, indent=2, sort_keys=True)
     print(text)
     if args.out:
@@ -1038,6 +1028,11 @@ def main(argv=None) -> int:
         for path, msg in e.errors:
             sys.stderr.write(f"config error at {path}: {msg}\n")
         return 2
+    except Exception as e:  # solver / task failure
+        task = f"reproduce:{args.id}" if args.command == "reproduce" else args.command
+        json.dump(_fail_payload(task, e), sys.stderr, indent=2)
+        sys.stderr.write("\n")
+        return 3
 
 
 if __name__ == "__main__":

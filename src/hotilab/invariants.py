@@ -248,6 +248,7 @@ def corner_index(
     zero_tol: float = ZERO_MODE_TOL,
     weight_threshold: float = WEIGHT_THRESHOLD,
     edge_gap_floor: float = 0.05,
+    dense_cutoff: int = 2048,
 ) -> CornerReport:
     """Graded count of zero modes bound to the corner of a quarter plane.
 
@@ -271,7 +272,7 @@ def corner_index(
     geo = quarter_geometry(side)
     ham = instantiate(model, geo)
     scale = spectral_norm_bound(ham.matrix)
-    vals, vecs = near_zero_states(ham.matrix, nev, seed=seed)
+    vals, vecs = near_zero_states(ham.matrix, nev, seed=seed, dense_cutoff=dense_cutoff)
     part = corner_regions(geo, model.norb)
     vecs = _disentangle_clusters(vals, vecs, part)
     sites = geo.site_array()

@@ -1,15 +1,16 @@
 """Eigensolvers and band-structure helpers with deterministic output.
 
 Two routes to spectra: dense diagonalization (small matrices, canonically
-phase-fixed) and a folded sparse solver that targets the eigenvalues of H
-nearest zero by running ARPACK on H^2 with a seeded start vector, then
-recovering signs and refined vectors from a Ritz step in the recovered
-subspace; ``near_zero_states`` alone chooses between them.  Band scans build
-a model's assembly once and evaluate it per momentum, and attach per-region
-spatial weights (regions are masks on the geometry's site array),
-disentangling degenerate clusters so weights are stable under basis
-ambiguity.  Gap scans (slabs, edges, the bulk) run one dense ``eigvalsh``
-loop, ``dense_spectra``, over a Bloch callable.
+phase-fixed) and a sparse solver for the eigenvalues of H nearest zero,
+shift-invert ARPACK on H itself about a small negative shift, with a seeded
+start vector and a Ritz step on the orthonormalized result.
+``near_zero_states`` alone chooses between them; both share one window pick
+and one residual check.  Band scans build a model's assembly once and
+evaluate it per momentum, and attach per-region spatial weights (regions
+are masks on the geometry's site array), disentangling degenerate clusters
+so weights are stable under basis ambiguity.  Gap scans (slabs, edges, the
+bulk) run one dense ``eigvalsh`` loop, ``dense_spectra``, over a Bloch
+callable.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def dense_eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """Full spectrum, ascending, with canonical eigenvector phases."""
     if h.shape[0] > DENSE_DIM_CAP:
         raise ValueError(
-            f"dense path capped at {DENSE_DIM_CAP}; use the folded solver"
+            f"dense path capped at {DENSE_DIM_CAP}; use folded_near_zero"
         )
     h = h.toarray() if sp.issparse(h) else np.asarray(h)
     vals, vecs = np.linalg.eigh(h)
@@ -87,64 +88,68 @@ def spectral_norm_bound(h) -> float:
     return float(np.max(np.sum(np.abs(h), axis=1)))
 
 
+def _window(vals: np.ndarray, vecs: np.ndarray, nev: int):
+    """The ``nev`` pairs nearest zero energy, sorted by energy."""
+    order = np.argsort(np.abs(vals), kind="stable")[:nev]
+    order = order[np.argsort(vals[order], kind="stable")]
+    return vals[order], vecs[:, order]
+
+
+def _check_residual(h, vals: np.ndarray, vecs: np.ndarray, bound: float, what: str) -> None:
+    """Raise unless every column satisfies ||h v - E v|| <= ``bound``."""
+    resid = np.max(np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0))
+    if resid > bound:
+        raise RuntimeError(f"{what}: residual {resid:.3e} exceeds {bound:.3e}")
+
+
 def folded_near_zero(
     h, nev: int, seed: int = 0, residual_factor: float = RESIDUAL_FACTOR
 ) -> tuple[np.ndarray, np.ndarray]:
     """``nev`` eigenpairs of sparse hermitian ``h`` nearest zero.
 
-    ARPACK on H^2 (shift-invert about a point just below its spectrum) finds
-    the folded subspace; a dense Ritz step of H within it restores signs and
-    sharpens the pairs.  The start vector is seeded, so reruns are
+    Shift-invert ARPACK on H itself, about sigma = -1e-6 * bound(H): the
+    shift is never exactly zero, so an exact kernel (the chiral quarter's
+    zero modes) still factors.  ARPACK runs its non-hermitian driver on
+    complex H and its vectors inside degenerate clusters can be far from
+    orthonormal, so a dense Ritz step of H on their orthonormalized span
+    gives the returned pairs.  The start vector is seeded, so reruns are
     reproducible.  Raises if any residual exceeds residual_factor * bound(H).
+    The name is kept from the folded H^2 route this replaced, because
+    callers and tools outside the package look the function up by name.
     """
     h = sp.csr_matrix(h)
     n = h.shape[0]
     if nev >= n - 1:
         raise ValueError(
-            f"folded solver needs nev < n - 1 (nev {nev}, n {n}); "
+            f"sparse solver needs nev < n - 1 (nev {nev}, n {n}); "
             "near_zero_states routes such cases to the dense solver"
         )
     scale = max(spectral_norm_bound(h), 1e-30)
-    hsq = (h @ h).tocsc()
     rng = np.random.default_rng(seed)
     v0 = rng.normal(size=n)
     v0 /= np.linalg.norm(v0)
-    sigma = -1e-6 * scale**2
-    k_ask = min(max(nev + 4, nev), n - 2)  # small buffer stabilizes clusters
-    vals2, vecs2 = spla.eigsh(hsq, k=k_ask, sigma=sigma, which="LM", v0=v0)
-    # close the subspace under H: span{V, HV} is H-invariant even when a
-    # degenerate H^2 multiplet was cut, since H(Hv) = lambda^2 v stays inside
-    aug = np.hstack([vecs2, h @ vecs2])
-    usvd, svd_vals, _ = np.linalg.svd(aug, full_matrices=False)
-    basis = usvd[:, svd_vals > 1e-10 * svd_vals[0]]
-    # Ritz step in the folded subspace: signed eigenvalues + refined vectors
+    k_ask = min(nev + 4, n - 2)  # small buffer stabilizes clusters
+    _, raw = spla.eigsh(h, k=k_ask, sigma=-1e-6 * scale, which="LM", v0=v0)
+    basis, _ = np.linalg.qr(raw)
     small = basis.conj().T @ (h @ basis)
-    small = 0.5 * (small + small.conj().T)
-    svals, svecs = np.linalg.eigh(small)
-    ritz = basis @ svecs
-    order = np.argsort(np.abs(svals), kind="stable")[:nev]
-    order = order[np.argsort(svals[order], kind="stable")]
-    vals, vecs = svals[order], _fix_phases(ritz[:, order])
-    resid = np.linalg.norm(h @ vecs - vecs * vals[None, :], axis=0)
-    if np.max(resid) > residual_factor * scale:
-        raise RuntimeError(
-            f"folded solver residual {np.max(resid):.3e} exceeds "
-            f"{residual_factor:.1e} * {scale:.3e}"
-        )
+    svals, svecs = np.linalg.eigh(0.5 * (small + small.conj().T))
+    vals, vecs = _window(svals, basis @ svecs, nev)
+    vecs = _fix_phases(vecs)
+    _check_residual(h, vals, vecs, residual_factor * scale, "shift-invert solver")
     return vals, vecs
 
 
 def near_zero_states(
     h, nev: int, seed: int = 0, dense_cutoff: int = 2048
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The one dense/folded router: dense up to ``dense_cutoff`` (or when
-    nearly the whole spectrum is asked for), folded above; same contract."""
+    """The one dense/sparse router: dense up to ``dense_cutoff`` (or when
+    nearly the whole spectrum is asked for), above it the shift-invert
+    solver ``folded_near_zero`` (named for the folded H^2 route it replaced,
+    a name outside tools look up); both return the ``nev`` pairs nearest
+    zero, sorted by energy."""
     n = h.shape[0]
     if n <= dense_cutoff or nev >= n - 1:
-        vals, vecs = dense_eigh(h)
-        order = np.argsort(np.abs(vals), kind="stable")[:nev]
-        order = order[np.argsort(vals[order], kind="stable")]
-        return vals[order], vecs[:, order]
+        return _window(*dense_eigh(h), nev)
     return folded_near_zero(h, nev, seed=seed)
 
 
@@ -271,7 +276,7 @@ def _momentum_scan(
     On a grid symmetric about k = 0 (momenta[n-1-i] = -momenta[i]) where
     ``momentum_reversal`` finds an element, only the first ceil(n/2) momenta
     are solved: the window at -k is the mapped window at k, with the same
-    energies, and must pass the folded solver's residual check against
+    energies, and must pass the sparse solver's residual check against
     H(-k) or the scan raises.  Returns the band data and, with
     ``keep_vectors``, every window's (disentangled) eigenvectors.
     """
@@ -293,13 +298,11 @@ def _momentum_scan(
         if reversal is not None and j != i:
             found[j] = _fix_phases(reversal.apply(vecs))
             h = asm.matrix(momenta[j])
-            resid = np.max(np.linalg.norm(h @ found[j] - found[j] * vals[None, :], axis=0))
-            bound = RESIDUAL_FACTOR * spectral_norm_bound(h)
-            if resid > bound:
-                raise RuntimeError(
-                    f"{reversal.label} maps k={momenta[i].round(3).tolist()} with "
-                    f"residual {resid:.3e} above {bound:.3e} at k={momenta[j].round(3).tolist()}"
-                )
+            _check_residual(
+                h, vals, found[j], RESIDUAL_FACTOR * spectral_norm_bound(h),
+                f"{reversal.label} mapping k={momenta[i].round(3).tolist()} "
+                f"to k={momenta[j].round(3).tolist()}",
+            )
         for idx, v in found.items():
             energies[idx] = vals
             if partition is not None:
@@ -328,7 +331,7 @@ def band_structure(
     dense_cutoff: int = 2048,
 ) -> BandData:
     """Spectrum along a momentum list; ``window`` keeps only that many
-    states nearest zero energy (folded solver route for large systems).
+    states nearest zero energy (sparse solver route for large systems).
 
     On a grid symmetric about k = 0, a model with a k-reversing symmetry
     element is solved at ceil(n/2) momenta and the rest are mapped (see

@@ -167,6 +167,33 @@ def test_spectrum_task_takes_folded_route_above_dense_cutoff(tmp_path, monkeypat
     assert summary["spectrum:ham1-g0.5-wire6"]["states"] == 4
 
 
+@pytest.mark.parametrize("rid, size, dims", [
+    (None, 8, [8 * 8 * 4]),
+    ("chiral-quarter", 8, [8 * 8 * 4]),
+    ("hinge-modes", 6, [6 * 6 * 6 * 4] * 2),
+], ids=["run-invariants", "reproduce-corner", "reproduce-cube"])
+def test_near_zero_solves_follow_dense_cutoff(tmp_path, monkeypatch, rid, size, dims):
+    # the corner index and the cube modes read the solver's dense_cutoff too
+    seen = []
+    folded = spectral.folded_near_zero
+
+    def spy(h, nev, **kwargs):
+        seen.append(h.shape[0])
+        return folded(h, nev, **kwargs)
+
+    monkeypatch.setattr(spectral, "folded_near_zero", spy)
+    solver = {"nev": 8, "dense_cutoff": 64}
+    if rid is None:
+        cfg = validate_config(tiny_config(
+            model={"name": "chiral-quarter-uC"}, geometry={"kind": "quarter", "side": size},
+            tasks=["invariants"], solver=solver,
+        ))
+        run_config(cfg, tmp_path)
+    else:
+        reproduce(rid, tmp_path, solver=solver, sizes={"quarter": size, "cube": size})
+    assert seen == dims
+
+
 def test_main_run_success_exit_zero(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config()))
@@ -189,10 +216,16 @@ def test_main_validation_failure_exit_two(tmp_path, capsys):
     (["run", "{path}"], None),
     (["run", "{path}"], b"\xff\xfe{}"),
     (["transversal", "{path}"], b"[1]"),
+    (["transversal", "{path}"], b'{"patterns": []}'),
+    (["transversal", "{path}"], b'{"patterns": [{"dimension": 2}, {"dimension": 3}]}'),
+    (["kss", "{path}"], b"{not json"),
     (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["bands"], "solver": [1]}'),
     (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["kss"], "kss": [1]}'),
     (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["symmetry-check"], "symmetry": [1]}'),
-], ids=["run-directory", "run-not-utf8", "transversal-list", "solver-list", "kss-list", "symmetry-list"])
+], ids=[
+    "run-directory", "run-not-utf8", "transversal-list", "transversal-no-patterns",
+    "transversal-mixed-dimensions", "kss-not-json", "solver-list", "kss-list", "symmetry-list",
+])
 def test_malformed_input_exit_two(tmp_path, capsys, argv, content):
     path = tmp_path / "input"
     if content is None:
@@ -224,6 +257,24 @@ def test_main_solver_failure_exit_three(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err)
     assert payload["error_type"] == "RuntimeError"
     assert "edge spectrum gap" in payload["message"]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["transversal", "square"], "_transversal_report"),
+    (["check-symmetry", "ham3", "C4T"], "_symmetry_report"),
+    (["kss", "square-inversion"], "couple_report"),
+    (["reproduce", "chiral-quarter", "--size", "8"], "corner_index"),
+], ids=["transversal", "check-symmetry", "kss", "reproduce"])
+def test_every_subcommand_task_failure_exits_three(tmp_path, monkeypatch, capsys, argv, target):
+    def broken(*args, **kwargs):
+        raise ArithmeticError("broken on purpose")
+
+    monkeypatch.setattr(cli, target, broken)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 3
+    payload = json.loads(capsys.readouterr().err)
+    assert payload["task"] == (f"reproduce:{argv[1]}" if argv[0] == "reproduce" else argv[0])
+    assert payload["error_type"] == "ArithmeticError"
 
 
 def test_size_and_grid_overrides_change_hash_and_geometry(tmp_path, capsys):
@@ -324,7 +375,7 @@ def test_reproduce_model1_small_claim_shape(tmp_path):
     assert all(c["ok"] for c in gapless)  # surface Dirac cones at gamma=0
 
 
-def _stub_corner_report(model, side, nev, seed):
+def _stub_corner_report(model, side, nev, seed, dense_cutoff):
     return CornerReport(
         index=1, zero_energies=np.zeros(1), corner_weights=np.ones(1),
         box_weights=np.ones(1), chirality_values=np.ones(1), edge_gap=1.0,

@@ -1,6 +1,8 @@
 """Eigensolver routes, region weights, band scans, gap scans."""
 
+import importlib.util
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +35,7 @@ from hotilab.spectral import (
 )
 
 RTOL = 1e-10
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _wire_ham(side=10, k=0.3):
@@ -57,6 +60,44 @@ def test_folded_solver_is_seeded_deterministic():
     v2, w2 = folded_near_zero(h, 8, seed=5)
     assert np.array_equal(v1, v2)
     assert np.array_equal(w1, w2)
+
+
+def test_sparse_solver_factors_h_itself(monkeypatch):
+    # shift-invert runs on H, never on a formed H^2
+    nnz = []
+    spla = spectral.spla
+
+    class Proxy:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+        def eigsh(self, a, *args, **kwargs):
+            nnz.append(a.nnz)
+            return spla.eigsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "spla", Proxy())
+    h = sp.csr_matrix(_wire_ham(side=8))
+    folded_near_zero(h, 8)
+    assert nnz == [h.nnz]
+
+
+def test_perfbench_tracer_finds_every_layer_it_wraps():
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    names = ("folded_near_zero", "near_zero_states", "dense_eigh", "spla")
+    originals = {name: getattr(spectral, name) for name in names}
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()  # looks every wrapped name up; a renamed one raises here
+        for owner, attr, old in tracer._restore:
+            assert getattr(owner, attr) is not old, attr
+        for name in names[:3]:
+            assert getattr(spectral, name).__wrapped__ is originals[name]
+        assert spectral.spla.eigsh.__wrapped__ is originals["spla"].eigsh
+    finally:
+        tracer.uninstall()
+    assert all(getattr(spectral, name) is fn for name, fn in originals.items())
 
 
 def test_dense_phases_are_canonical():
