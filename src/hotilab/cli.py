@@ -71,6 +71,7 @@ from .patterns import (
 )
 from .spectral import (
     BandData,
+    _disentangle_clusters,
     band_structure,
     dense_spectra,
     minimum_bulk_gap,
@@ -629,12 +630,12 @@ class Scans:
         """Near-zero cube modes: mean weight per vertical hinge column, and
         mean weight within two sites of a cube edge."""
         side = int(geometry.extents[0])
-        ham = instantiate(model, geometry)
         vals, vecs = near_zero_states(
-            ham.matrix, self.solver["nev"], seed=self.solver["seed"],
+            instantiate(model, geometry).matrix, self.solver["nev"], seed=self.solver["seed"],
             dense_cutoff=self.solver["dense_cutoff"],
         )
         part = wire_regions(geometry, model.norb)  # four vertical hinge columns
+        vecs = _disentangle_clusters(vals, vecs, part)  # pins the basis inside each multiplet
         weights = part.weights(vecs)
         sites = geometry.site_array()
         edge_mask = (np.minimum(sites, side - 1 - sites) <= 2).sum(axis=1) >= 2

@@ -1,16 +1,17 @@
 """Eigensolvers and band-structure helpers with deterministic output.
 
 Two routes to spectra: dense diagonalization (small matrices, canonically
-phase-fixed) and a sparse solver for the eigenvalues of H nearest zero,
-shift-invert ARPACK on H itself about a small negative shift, with a seeded
-start vector and a Ritz step on the orthonormalized result.
-``near_zero_states`` alone chooses between them; both share one window pick
-and one residual check.  Band scans build a model's assembly once and
-evaluate it per momentum, and attach per-region spatial weights (regions
-are masks on the geometry's site array), disentangling degenerate clusters
-so weights are stable under basis ambiguity.  Gap scans (slabs, edges, the
-bulk) run one dense ``eigvalsh`` loop, ``dense_spectra``, over a Bloch
-callable.
+phase-fixed) and a sparse solver for the eigenvalues of H nearest zero:
+shift-invert ARPACK on H itself about a small negative shift, from one LU
+of H - sigma (symmetric minimum-degree ordering, pivot threshold 0.01)
+that is freed before a Ritz step on the orthonormalized result, with a
+seeded start vector.  ``near_zero_states`` alone chooses between them;
+both share one window pick and one residual check.  Band scans build a
+model's assembly once and evaluate it per momentum, and attach per-region
+spatial weights (regions are masks on the geometry's site array),
+disentangling degenerate clusters so weights are stable under basis
+ambiguity.  Gap scans (slabs, edges, the bulk) run one dense ``eigvalsh``
+loop, ``dense_spectra``, over a Bloch callable.
 """
 
 from __future__ import annotations
@@ -102,6 +103,14 @@ def _check_residual(h, vals: np.ndarray, vecs: np.ndarray, bound: float, what: s
         raise RuntimeError(f"{what}: residual {resid:.3e} exceeds {bound:.3e}")
 
 
+def _shift_invert_vectors(h, k: int, sigma: float, v0: np.ndarray) -> np.ndarray:
+    """ARPACK's ``k`` vectors of ``h`` nearest ``sigma``; frees its LU of h - sigma on return."""
+    lu = spla.splu((h - sigma * sp.identity(h.shape[0])).tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.01, options={"SymmetricMode": True})
+    op = spla.LinearOperator(h.shape, matvec=lu.solve, dtype=h.dtype)
+    return spla.eigsh(h, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op)[1]
+
+
 def folded_near_zero(
     h, nev: int, seed: int = 0, residual_factor: float = RESIDUAL_FACTOR
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -109,11 +118,13 @@ def folded_near_zero(
 
     Shift-invert ARPACK on H itself, about sigma = -1e-6 * bound(H): the
     shift is never exactly zero, so an exact kernel (the chiral quarter's
-    zero modes) still factors.  ARPACK runs its non-hermitian driver on
-    complex H and its vectors inside degenerate clusters can be far from
-    orthonormal, so a dense Ritz step of H on their orthonormalized span
-    gives the returned pairs.  The start vector is seeded, so reruns are
-    reproducible.  Raises if any residual exceeds residual_factor * bound(H).
+    zero modes) still factors.  H - sigma is factored once (symmetric
+    minimum-degree ordering, pivot threshold 0.01: half the fill of scipy's
+    default), and the factor is freed before the Ritz step.  ARPACK's
+    non-hermitian driver on complex H leaves vectors inside degenerate
+    clusters far from orthonormal, so a dense Ritz step of H on their
+    orthonormalized span gives the returned pairs.  The start vector is
+    seeded.  Raises if any residual exceeds residual_factor * bound(H).
     The name is kept from the folded H^2 route this replaced, because
     callers and tools outside the package look the function up by name.
     """
@@ -129,8 +140,7 @@ def folded_near_zero(
     v0 = rng.normal(size=n)
     v0 /= np.linalg.norm(v0)
     k_ask = min(nev + 4, n - 2)  # small buffer stabilizes clusters
-    _, raw = spla.eigsh(h, k=k_ask, sigma=-1e-6 * scale, which="LM", v0=v0)
-    basis, _ = np.linalg.qr(raw)
+    basis, _ = np.linalg.qr(_shift_invert_vectors(h, k_ask, -1e-6 * scale, v0))
     small = basis.conj().T @ (h @ basis)
     svals, svecs = np.linalg.eigh(0.5 * (small + small.conj().T))
     vals, vecs = _window(svals, basis @ svecs, nev)
@@ -144,9 +154,8 @@ def near_zero_states(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The one dense/sparse router: dense up to ``dense_cutoff`` (or when
     nearly the whole spectrum is asked for), above it the shift-invert
-    solver ``folded_near_zero`` (named for the folded H^2 route it replaced,
-    a name outside tools look up); both return the ``nev`` pairs nearest
-    zero, sorted by energy."""
+    solver ``folded_near_zero`` (named for the folded H^2 route it
+    replaced); both return the ``nev`` pairs nearest zero, sorted by energy."""
     n = h.shape[0]
     if n <= dense_cutoff or nev >= n - 1:
         return _window(*dense_eigh(h), nev)

@@ -15,10 +15,12 @@ import pytest
 from hotilab import cli, spectral
 from hotilab.cli import (
     CLAIMS,
+    DEFAULT_SOLVER,
     REPRODUCE_IDS,
     Claim,
     ConfigError,
     Scan,
+    Scans,
     config_hash,
     evaluate,
     main,
@@ -27,7 +29,7 @@ from hotilab.cli import (
     validate_config,
 )
 from hotilab.invariants import CornerReport, HingeReport
-from hotilab.models import builtin_model, instantiate, slab_geometry
+from hotilab.models import builtin_model, cube_geometry, instantiate, slab_geometry
 from hotilab.spectral import slab_bloch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -192,6 +194,21 @@ def test_near_zero_solves_follow_dense_cutoff(tmp_path, monkeypatch, rid, size, 
     else:
         reproduce(rid, tmp_path, solver=solver, sizes={"quarter": size, "cube": size})
     assert seen == dims
+
+
+def test_cube_mode_weights_do_not_depend_on_the_solver_basis(tmp_path):
+    # ham3's exactly degenerate pairs come out of each solve in an arbitrary
+    # mixture; the per-mode weights of hinge-modes-ham3.csv must not follow it
+    rows = []
+    for seed, cutoff in [(0, 64), (1, 64), (0, 2048)]:  # sparse, sparse, dense (dim 864)
+        out = tmp_path / f"s{seed}-c{cutoff}"
+        out.mkdir()
+        scans = Scans({**DEFAULT_SOLVER, "seed": seed, "dense_cutoff": cutoff}, outdir=out)
+        scans.cube("ham3-cube6", builtin_model("ham3", 0.5), cube_geometry(6))
+        rows.append(np.loadtxt(out / "hinge-modes-ham3.csv", delimiter=",", skiprows=1))
+    assert rows[0].shape == (8, 3 + 9)  # mode, energy, edge, nine wire regions
+    for other in rows[1:]:
+        assert np.max(np.abs(other[:, 1:] - rows[0][:, 1:])) < 1e-8
 
 
 def test_main_run_success_exit_zero(tmp_path, capsys):

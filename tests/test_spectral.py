@@ -63,13 +63,17 @@ def test_folded_solver_is_seeded_deterministic():
 
 
 def test_sparse_solver_factors_h_itself(monkeypatch):
-    # shift-invert runs on H, never on a formed H^2
-    nnz = []
+    # one LU per solve, of H - sigma; shift-invert runs on H, never on a formed H^2
+    factored, nnz = [], []
     spla = spectral.spla
 
     class Proxy:
         def __getattr__(self, name):
             return getattr(spla, name)
+
+        def splu(self, a, *args, **kwargs):
+            factored.append(a.toarray())
+            return spla.splu(a, *args, **kwargs)
 
         def eigsh(self, a, *args, **kwargs):
             nnz.append(a.nnz)
@@ -79,6 +83,21 @@ def test_sparse_solver_factors_h_itself(monkeypatch):
     h = sp.csr_matrix(_wire_ham(side=8))
     folded_near_zero(h, 8)
     assert nnz == [h.nnz]
+    assert len(factored) == 1
+    a, hd = factored[0], h.toarray()
+    sigma = -1e-6 * spectral_norm_bound(h)
+    assert np.array_equal(a - np.diag(np.diag(a)), hd - np.diag(np.diag(hd)))
+    assert np.allclose(np.diag(a), np.diag(hd) - sigma, rtol=0, atol=1e-15)
+
+
+def test_shift_invert_matches_dense_on_an_exact_kernel():
+    # the chiral quarter's exact zero modes make H - sigma nearly singular;
+    # with a pivot threshold of 0 (diagonal pivots only) ARPACK fails here
+    h = instantiate(builtin_model("chiral-quarter-uC"), quarter_geometry(12)).matrix
+    assert h.shape == (576, 576)
+    ref = np.sort(np.abs(np.linalg.eigvalsh(h.toarray())))[:8]
+    vals, _ = folded_near_zero(h, 8)
+    assert np.max(np.abs(np.sort(np.abs(vals)) - ref)) < RTOL
 
 
 def test_perfbench_tracer_finds_every_layer_it_wraps():
