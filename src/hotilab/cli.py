@@ -330,23 +330,38 @@ def _momentum_path(nk: int) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, nk)
 
 
-def _task_spectrum(model, geometry, scans, outdir, label):
-    solver = scans.solver
-    momentum = (0.0,) * len(geometry.periodic_dirs)
-    ham = instantiate(model, geometry, momentum)
+def _near_zero_modes(model, geometry, solver):
+    """The solver's ``nev`` states of ``model`` nearest zero at k = 0, and
+    the hinge-region weight of each (empty when fewer than two directions
+    are open).  Degenerate clusters are rotated onto the regions first, so
+    no weight depends on the solver's basis inside a multiplet."""
+    ham = instantiate(model, geometry, (0.0,) * len(geometry.periodic_dirs))
     vals, vecs = near_zero_states(
         ham.matrix, min(solver["nev"], ham.dim), seed=solver["seed"],
         dense_cutoff=solver["dense_cutoff"],
     )
+    if len(geometry.open_dirs) < 2:
+        return vals, vecs, {}
+    part = wire_regions(geometry, model.norb)
+    vecs = _disentangle_clusters(vals, vecs, part)
+    return vals, vecs, dict(zip(part.names, part.weights(vecs)))
+
+
+def _write_modes_csv(path, index: str, vals, weights: dict) -> None:
+    """Rows: mode number (column ``index``), energy, then one
+    ``<name>_weight`` column per entry of ``weights``."""
+    with open(path, "w") as fh:
+        fh.write(",".join([index, "energy", *(f"{n}_weight" for n in weights)]) + "\n")
+        for i, e in enumerate(vals):
+            row = [str(i), f"{e:.12g}", *(f"{w[i]:.12g}" for w in weights.values())]
+            fh.write(",".join(row) + "\n")
+
+
+def _task_spectrum(model, geometry, scans, outdir, label):
+    vals, _, weights = _near_zero_modes(model, geometry, scans.solver)
     path = outdir / f"spectrum-{label}.csv"
-    part = wire_regions(geometry, model.norb) if len(geometry.open_dirs) >= 2 else None
-    if part is not None:
-        weights = part.weights(vecs)
-        with open(path, "w") as fh:
-            fh.write("index,energy," + ",".join(f"{n}_weight" for n in part.names) + "\n")
-            for i, e in enumerate(vals):
-                row = [str(i), f"{e:.12g}"] + [f"{w:.12g}" for w in weights[:, i]]
-                fh.write(",".join(row) + "\n")
+    if weights:
+        _write_modes_csv(path, "index", vals, weights)
     else:
         write_spectrum_csv(path, vals)
     summary = {"min_abs_energy": float(np.min(np.abs(vals))), "states": int(len(vals))}
@@ -385,15 +400,10 @@ def _task_bands(model, geometry, scans, outdir, label):
 
 
 def _task_invariants(model, geometry, scans, outdir, label):
-    solver = scans.solver
     out = {}
-    if model.dimension == 2 and model.chirality is not None:
-        side = geometry.extents[0] or DEFAULT_SIZES["quarter"]
-        rep = corner_index(
-            model, side=int(side), nev=solver["nev"], seed=solver["seed"],
-            dense_cutoff=solver["dense_cutoff"],
-        )
-        out["corner"] = rep.to_dict()
+    chiral_2d = model.dimension == geometry.dimension == 2 and model.chirality is not None
+    if chiral_2d and not geometry.periodic_dirs:  # the quarter plane, open both ways
+        out["corner"] = scans.corner(label, model, geometry).to_dict()
     elif model.dimension == 3 and geometry.periodic_dirs and len(geometry.open_dirs) == 2:
         rep = scans.flow(label, model, geometry)
         out["hinge_flow"] = rep.to_dict()
@@ -630,28 +640,17 @@ class Scans:
         """Near-zero cube modes: mean weight per vertical hinge column, and
         mean weight within two sites of a cube edge."""
         side = int(geometry.extents[0])
-        vals, vecs = near_zero_states(
-            instantiate(model, geometry).matrix, self.solver["nev"], seed=self.solver["seed"],
-            dense_cutoff=self.solver["dense_cutoff"],
-        )
-        part = wire_regions(geometry, model.norb)  # four vertical hinge columns
-        vecs = _disentangle_clusters(vals, vecs, part)  # pins the basis inside each multiplet
-        weights = part.weights(vecs)
+        vals, vecs, weights = _near_zero_modes(model, geometry, self.solver)
         sites = geometry.site_array()
         edge_mask = (np.minimum(sites, side - 1 - sites) <= 2).sum(axis=1) >= 2
         dens = (np.abs(vecs) ** 2).reshape(len(sites), model.norb, -1).sum(axis=1)
         edge_fraction = dens[edge_mask].sum(axis=0)
         if self.outdir is not None:
-            with open(self.outdir / f"hinge-modes-{model.name}.csv", "w") as fh:
-                fh.write(
-                    "mode,energy,edge_weight,"
-                    + ",".join(f"{n}_weight" for n in part.names) + "\n"
-                )
-                for i, e in enumerate(vals):
-                    row = [str(i), f"{e:.12g}", f"{edge_fraction[i]:.12g}"]
-                    row += [f"{w:.12g}" for w in weights[:, i]]
-                    fh.write(",".join(row) + "\n")
-        hinge = {n: float(np.mean(weights[part.names.index(n)])) for n in part.names[:4]}
+            _write_modes_csv(
+                self.outdir / f"hinge-modes-{model.name}.csv", "mode", vals,
+                {"edge": edge_fraction, **weights},
+            )
+        hinge = {n: float(np.mean(weights[n])) for n in ("hinge1", "hinge2", "hinge3", "hinge4")}
         return hinge, float(np.mean(edge_fraction))
 
     def _record(self, name, rep):

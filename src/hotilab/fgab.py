@@ -20,17 +20,14 @@ __all__ = [
     "ieye",
     "smith_normal_form",
     "hermite_column_form",
-    "lattice_canonical",
     "solve_integer",
     "kernel_basis",
     "integer_rank",
     "lattice_sum",
-    "lattice_intersect",
     "lattice_contains",
     "FGAbelianGroup",
     "GroupMap",
     "Subquotient",
-    "subquotient",
     "describe",
     "free_group",
     "zero_map",
@@ -202,11 +199,6 @@ def hermite_column_form(m) -> np.ndarray:
     return a[:, :col]
 
 
-def lattice_canonical(m) -> np.ndarray:
-    """Canonical generator matrix of the integer column lattice of ``m``."""
-    return hermite_column_form(m)
-
-
 def solve_integer(m, b):
     """Solve m x = b over the integers; return x or None.
 
@@ -255,7 +247,7 @@ def kernel_basis(m) -> np.ndarray:
 
 def lattice_sum(a, b) -> np.ndarray:
     a, b = _as_imat(a), _as_imat(b)
-    return lattice_canonical(np.concatenate([a, b], axis=1))
+    return hermite_column_form(np.concatenate([a, b], axis=1))
 
 
 def lattice_contains(lat, x) -> bool:
@@ -264,18 +256,6 @@ def lattice_contains(lat, x) -> bool:
         xx = _as_imat(x)
         return bool(np.all(xx == 0))
     return solve_integer(lat, x) is not None
-
-
-def lattice_intersect(a, b) -> np.ndarray:
-    """Basis of the intersection of two column lattices in the same Z^n."""
-    a, b = _as_imat(a), _as_imat(b)
-    if a.shape[1] == 0 or b.shape[1] == 0:
-        return izeros(a.shape[0], 0)
-    stacked = np.concatenate([a, -b], axis=1)
-    ker = kernel_basis(stacked)
-    if ker.shape[1] == 0:
-        return izeros(a.shape[0], 0)
-    return lattice_canonical(a @ ker[: a.shape[1], :])
 
 
 # ---------------------------------------------------------------------------
@@ -336,9 +316,6 @@ class FGAbelianGroup:
 
     def is_zero(self, x) -> bool:
         return lattice_contains(self.relations, _as_imat(x).reshape(-1, 1))
-
-    def equal(self, x, y) -> bool:
-        return self.is_zero(_as_imat(x).reshape(self.ngens) - _as_imat(y).reshape(self.ngens))
 
     def __repr__(self) -> str:  # e.g. Z^2 + Z/2
         return f"FGAbelianGroup({describe(self.canonical())})"
@@ -458,8 +435,3 @@ class Subquotient:
 
     def canonical(self):
         return self.group.canonical()
-
-
-def subquotient(ambient: FGAbelianGroup, sub_gens, quot_gens) -> Subquotient:
-    """Subgroup-mod-subgroup of a presented group; see :class:`Subquotient`."""
-    return Subquotient(ambient, _as_imat(sub_gens), _as_imat(quot_gens))

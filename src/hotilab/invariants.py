@@ -1,5 +1,5 @@
-"""Topological diagnostics: Chern and winding numbers, corner zero-mode
-counts, hinge spectral flow, and inversion-parity indices.
+"""Topological diagnostics: Chern numbers, corner zero-mode counts, hinge
+spectral flow, and inversion-parity indices.
 
 Every quantized output is computed from raw spectral data and then rounded
 with an explicit distance check; a raw value further than INTEGER_TOL from
@@ -31,8 +31,6 @@ __all__ = [
     "INTEGER_TOL",
     "chern_number_2d",
     "plane_bloch",
-    "winding_number",
-    "mirror_block_windings",
     "CornerReport",
     "corner_index",
     "face_layer_index",
@@ -48,6 +46,10 @@ INTEGER_TOL = 0.1      # max distance of a raw invariant from an integer
 ZERO_MODE_TOL = 1e-6   # |E| below this (times a norm bound) counts as zero
 WEIGHT_THRESHOLD = 0.5 # region weight needed to attribute a state
 ZONE_EDGE_TOL = 1e-9   # a crossing this close to k = +-pi is reported at -pi
+EDGE_GAP_FLOOR = 0.05  # edge gap below which corner modes are not isolated
+CORNER_BOX = 4         # side of the corner box that filters kernel modes
+ENERGY_WINDOW = 0.3    # |E| inside which hinge-flow bands are matched
+MIN_OVERLAP = 0.5      # overlap a matched pair needs to count as a crossing
 
 
 def _round_integer(raw: float, what: str) -> int:
@@ -135,82 +137,6 @@ def plane_bloch(model: HoppingModel, axis: int, value: float):
 
 
 # ---------------------------------------------------------------------------
-# winding numbers of chiral blocks
-
-def winding_number(block, resolution: int = 256) -> int:
-    """Winding of det(block(k)) around the origin over k in [0, 2pi)."""
-    ks = np.linspace(0.0, 2 * np.pi, resolution + 1)
-    dets = []
-    for k in ks:
-        d = complex(np.linalg.det(np.atleast_2d(block(k))))
-        if abs(d) < 1e-12:
-            raise RuntimeError(f"block determinant vanishes at k={k}")
-        dets.append(d)
-    total = 0.0
-    for a, b in zip(dets[:-1], dets[1:]):
-        total += np.angle(b / a)
-    return _round_integer(total / (2 * np.pi), "winding number")
-
-
-def _chiral_blocks(model: HoppingModel):
-    """Index ranges of the +1 and -1 chirality sectors (must be diagonal)."""
-    if model.chirality is None:
-        raise ValueError("model carries no chirality grading")
-    g = np.diag(model.chirality)
-    if np.max(np.abs(model.chirality - np.diag(g))) > 1e-12:
-        raise ValueError("chirality grading must be diagonal in this basis")
-    plus = np.where(g.real > 0)[0]
-    minus = np.where(g.real < 0)[0]
-    return plus, minus
-
-
-def chiral_offdiagonal_block(model: HoppingModel):
-    """u(k) with h(k) = [[0, u(k)^dag], [u(k), 0]] in the grading basis."""
-    plus, minus = _chiral_blocks(model)
-
-    def u(k):
-        h = model.bloch(k)
-        return h[np.ix_(minus, plus)]
-
-    return u
-
-
-def mirror_block_windings(
-    model: HoppingModel, mirror_unitary: np.ndarray, resolution: int = 256
-) -> tuple[int, ...]:
-    """Windings of the chiral block restricted to the mirror-invariant line.
-
-    On k.(1,1) the off-diagonal block commutes with the mirror; it splits
-    over mirror eigenspaces, one winding per eigenvalue, reported in
-    ascending eigenvalue order (-1 sector first).
-    """
-    plus, minus = _chiral_blocks(model)
-    u = chiral_offdiagonal_block(model)
-    mp = np.asarray(mirror_unitary)[np.ix_(plus, plus)]
-    mm = np.asarray(mirror_unitary)[np.ix_(minus, minus)]
-    if np.max(np.abs(mp - mm)) > 1e-12:
-        raise ValueError("mirror must act identically on both chiral sectors")
-    evals, evecs = np.linalg.eigh(0.5 * (mp + mp.conj().T))
-    out = []
-    for i, lam in enumerate(evals):
-        v = evecs[:, i]
-
-        def entry(k, v=v):
-            uk = u((k, k))
-            return np.array([[v.conj() @ uk @ v]])
-
-        # restriction must actually be block diagonal on the invariant line
-        uk = u((0.3, 0.3))
-        for j, mu in enumerate(evals):
-            if abs(mu - lam) > 1e-9:
-                off = evecs[:, j].conj() @ uk @ v
-                if abs(off) > 1e-9:
-                    raise RuntimeError("block does not commute with the mirror")
-        out.append(winding_number(entry, resolution))
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
 # corner zero modes
 
 @dataclass
@@ -245,9 +171,6 @@ def corner_index(
     side: int = 24,
     nev: int = 8,
     seed: int = 0,
-    zero_tol: float = ZERO_MODE_TOL,
-    weight_threshold: float = WEIGHT_THRESHOLD,
-    edge_gap_floor: float = 0.05,
     dense_cutoff: int = 2048,
 ) -> CornerReport:
     """Graded count of zero modes bound to the corner of a quarter plane.
@@ -255,8 +178,8 @@ def corner_index(
     On any finite box the total graded zero-mode count vanishes identically
     (compensating modes sit at the far corners), so states are filtered by
     weight in the corner quadrant before counting chirality eigenvalues.
-    Requires both edges gapped; zero modes are those below zero_tol times a
-    norm bound.
+    Requires both edges gapped; zero modes are those below ZERO_MODE_TOL
+    times a norm bound.
     """
     if model.dimension != 2:
         raise ValueError("corner counting is for 2d models")
@@ -264,9 +187,9 @@ def corner_index(
         raise ValueError("corner counting needs a chirality grading")
     warnings: list[str] = []
     egap = _edge_gap(model, depth=max(8, side // 3))
-    if egap < edge_gap_floor:
+    if egap < EDGE_GAP_FLOOR:
         raise RuntimeError(
-            f"edge spectrum gap {egap:.3e} below {edge_gap_floor}; corner "
+            f"edge spectrum gap {egap:.3e} below {EDGE_GAP_FLOOR}; corner "
             "modes are not isolated"
         )
     geo = quarter_geometry(side)
@@ -276,9 +199,10 @@ def corner_index(
     part = corner_regions(geo, model.norb)
     vecs = _disentangle_clusters(vals, vecs, part)
     sites = geo.site_array()
-    box_diag = np.repeat(((sites[:, 0] < 4) & (sites[:, 1] < 4)).astype(float), model.norb)
-    zero = np.abs(vals) <= zero_tol * scale
-    band = (np.abs(vals) > zero_tol * scale) & (np.abs(vals) <= 100 * zero_tol * scale)
+    box = (sites[:, 0] < CORNER_BOX) & (sites[:, 1] < CORNER_BOX)
+    box_diag = np.repeat(box.astype(float), model.norb)
+    zero = np.abs(vals) <= ZERO_MODE_TOL * scale
+    band = ~zero & (np.abs(vals) <= 100 * ZERO_MODE_TOL * scale)
     if np.any(band):
         warnings.append(
             f"{int(np.sum(band))} states in the ambiguous band just above "
@@ -289,7 +213,7 @@ def corner_index(
     weights = part.weights(vecs)
     corner_row = part.names.index("corner")
     gamma_diag = np.tile(np.real(np.diag(model.chirality)), len(sites))
-    keep = zero & (weights[corner_row] > weight_threshold)
+    keep = zero & (weights[corner_row] > WEIGHT_THRESHOLD)
     kept_vecs = vecs[:, keep]
     gamma_vals = np.real(
         np.sum(kept_vecs.conj() * (gamma_diag[:, None] * kept_vecs), axis=0)
@@ -309,7 +233,7 @@ def corner_index(
     )
 
 
-def face_layer_index(side: int = 24, box: int = 4) -> int:
+def face_layer_index(side: int = 24) -> int:
     """Graded corner zero-mode count of the edge-flow partial isometry.
 
     V shifts right along the bottom edge row, up along the left edge column
@@ -334,7 +258,7 @@ def face_layer_index(side: int = 24, box: int = 4) -> int:
     h = sp.bmat([[None, v.conj().T], [v, None]], format="csr")
     vals, vecs = near_zero_states(h, 8, dense_cutoff=4096)
     zero = np.abs(vals) <= 1e-10
-    box_diag = np.tile(((x < box) & (y < box)).astype(float), 2)
+    box_diag = np.tile(((x < CORNER_BOX) & (y < CORNER_BOX)).astype(float), 2)
     # the kernel is degenerate across near and far corners: rotate it to
     # diagonalize the box projector so the filter sees unmixed modes
     z = vecs[:, zero]
@@ -381,15 +305,12 @@ def hinge_spectral_flow(
     side: int = 28,
     nk: int = 101,
     window: int = 16,
-    energy_window: float = 0.3,
     seed: int = 0,
-    weight_threshold: float = WEIGHT_THRESHOLD,
     dense_cutoff: int = 2048,
-    min_overlap: float = 0.5,
 ) -> HingeReport:
     """Signed zero crossings of wire bands, attributed to hinge regions.
 
-    Between adjacent momenta, states inside |E| < energy_window are paired
+    Between adjacent momenta, states inside |E| < ENERGY_WINDOW are paired
     by maximum overlap; a matched pair straddling E = 0 contributes its
     slope sign to the hinge carrying most of its weight there.  Matching
     only locally (never chaining across the whole loop) keeps the count
@@ -399,13 +320,13 @@ def hinge_spectral_flow(
     the zone edge is reported as exactly -pi, whatever the last bits of
     its interpolation.
 
-    The windows come from the scan loop of ``spectral.band_structure``,
-    and all of them are kept for the matching.  The midpoint grid is
-    symmetric about k = 0, so when a built-in symmetry element of the
-    model maps H(k) onto H(-k) on the wire (``symmetry.momentum_reversal``)
-    only ceil(nk/2) momenta are solved and each window at -k is the
-    residual-checked image of the window at k.  The report records the
-    element and the count.
+    The windows come from ``spectral._momentum_scan``, the scan loop
+    behind ``band_structure``, and all of them are kept for the matching.
+    The midpoint grid is symmetric about k = 0, so when a built-in symmetry
+    element of the model maps H(k) onto H(-k) on the wire
+    (``symmetry.momentum_reversal``) only ceil(nk/2) momenta are solved and
+    each window at -k is the residual-checked image of the window at k.
+    The report records the element and the count.
     """
     if model.dimension != 3:
         raise ValueError("hinge flow is for 3d models on wires")
@@ -421,9 +342,9 @@ def hinge_spectral_flow(
     energies = data.energies
     warnings: list[str] = []
     for k, vals in zip(ks, energies):
-        if np.all(np.abs(vals) < energy_window):
+        if np.all(np.abs(vals) < ENERGY_WINDOW):
             warnings.append(
-                f"solver window saturated inside |E|<{energy_window} at "
+                f"solver window saturated inside |E|<{ENERGY_WINDOW} at "
                 f"k={k:.3f}; increase the window"
             )
     hinge_names = [n for n in part.names if n.startswith("hinge")]
@@ -435,8 +356,8 @@ def hinge_spectral_flow(
     for i in range(nk):
         j = (i + 1) % nk
         ka, kb = ks[i], ks[j] + (2.0 * np.pi if j == 0 else 0.0)
-        sel_a = np.where(np.abs(energies[i]) < energy_window)[0]
-        sel_b = np.where(np.abs(energies[j]) < energy_window)[0]
+        sel_a = np.where(np.abs(energies[i]) < ENERGY_WINDOW)[0]
+        sel_b = np.where(np.abs(energies[j]) < ENERGY_WINDOW)[0]
         if len(sel_a) == 0 or len(sel_b) == 0:
             continue
         ov = np.abs(vecs[i][:, sel_a].conj().T @ vecs[j][:, sel_b])
@@ -446,10 +367,10 @@ def hinge_spectral_flow(
             ea, eb = energies[i, a], energies[j, b]
             if not ((ea < 0 <= eb) or (eb < 0 <= ea)):
                 continue
-            if ov[r, c] < min_overlap:
+            if ov[r, c] < MIN_OVERLAP:
                 warnings.append(
                     f"ignored straddle near k={ka:.3f} with overlap below "
-                    f"{min_overlap} (window likely saturated)"
+                    f"{MIN_OVERLAP} (window likely saturated)"
                 )
                 continue
             sign = 1 if eb > ea else -1
@@ -461,7 +382,7 @@ def hinge_spectral_flow(
             if np.pi - abs(kcross) <= ZONE_EDGE_TOL:
                 kcross = -np.pi
             record = {"k": kcross, "slope": sign, "weights": hw, "hinge": None}
-            if hw[best] > weight_threshold:
+            if hw[best] > WEIGHT_THRESHOLD:
                 flows[best] += sign
                 record["hinge"] = best
             else:
@@ -472,7 +393,7 @@ def hinge_spectral_flow(
             crossings.append(record)
     if not crossings:
         warnings.append(
-            f"no band crosses E = 0 inside |E|<{energy_window}, so every hinge "
+            f"no band crosses E = 0 inside |E|<{ENERGY_WINDOW}, so every hinge "
             "flow is 0; raise side or nk"
         )
     total = sum(flows.values())

@@ -39,11 +39,11 @@ from .fgab import (
     Subquotient,
     describe,
     free_group,
+    hermite_column_form,
     ieye,
     imat,
     izeros,
     kernel_basis,
-    lattice_canonical,
     lattice_contains,
     lattice_sum,
     smith_normal_form,
@@ -78,7 +78,7 @@ PRESET_NAMES = (
 
 
 def _same_lattice(a, b) -> bool:
-    ca, cb = lattice_canonical(a), lattice_canonical(b)
+    ca, cb = hermite_column_form(a), hermite_column_form(b)
     return ca.shape == cb.shape and bool(np.array_equal(ca, cb))
 
 
@@ -88,7 +88,7 @@ def _full_lattice(g: FGAbelianGroup) -> np.ndarray:
 
 def _lattice_invariants(lat) -> tuple[int, ...]:
     """Invariant factors of the subgroup spanned by ``lat`` columns."""
-    basis = lattice_canonical(lat)
+    basis = hermite_column_form(lat)
     if basis.shape[1] == 0:
         return ()
     d = smith_normal_form(basis)[1]

@@ -33,7 +33,6 @@ __all__ = [
     "quarter_geometry",
     "cube_geometry",
     "model_from_dict",
-    "model_to_dict",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -72,9 +71,6 @@ class HoppingModel:
             if np.max(np.abs(clean[md] - w.conj().T)) > HERMITICITY_TOL:
                 raise ValueError(f"w({md}) is not the adjoint of w({d})")
         self.hoppings = clean
-
-    def displacements(self) -> list[tuple[int, ...]]:
-        return sorted(self.hoppings)
 
     def range_per_direction(self) -> tuple[int, ...]:
         r = [0] * self.dimension
@@ -410,21 +406,6 @@ def builtin_model(name: str, gamma: float = 0.5) -> HoppingModel:
 
 # ---------------------------------------------------------------------------
 # serialization
-
-def model_to_dict(m: HoppingModel) -> dict:
-    return {
-        "dimension": m.dimension,
-        "norb": m.norb,
-        "name": m.name,
-        "hoppings": [
-            {
-                "delta": list(d),
-                "matrix": [[[float(v.real), float(v.imag)] for v in row] for row in w],
-            }
-            for d, w in sorted(m.hoppings.items())
-        ],
-    }
-
 
 def model_from_dict(d: dict) -> HoppingModel:
     if "model" in d:  # builtin reference: {"model": "ham1", "gamma": 0.5}

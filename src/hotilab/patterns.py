@@ -12,7 +12,6 @@ feasibility.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,8 +38,6 @@ __all__ = [
     "transversal_of",
     "global_transversal",
     "codimension_filtration",
-    "act_on",
-    "check_filtration_invariance",
     "half_space",
     "quarter_pattern",
     "square_seeds",
@@ -182,9 +179,6 @@ class Pattern:
                 for i in range(len(b)):
                     b[i] -= q * int(lat[i, j])
         return Pattern(self.dimension, tuple((n, bb) for (n, _), bb in zip(cons, b)))
-
-    def translate_equivalent(self, other: "Pattern") -> bool:
-        return self.canonical() == other.canonical()
 
 
 def half_space(normal, bound: int = 0) -> Pattern:
@@ -355,13 +349,6 @@ class Transversal:
             out.setdefault(p.codimension, []).append(p)
         return {c: tuple(ps) for c, ps in sorted(out.items())}
 
-    def identify(self, pattern: Pattern) -> Pattern:
-        """Representative of the translate-class of ``pattern`` (KeyError if absent)."""
-        c = pattern.canonical()
-        if c not in self.patterns:
-            raise KeyError(f"pattern not in transversal: {pattern}")
-        return c
-
 
 # ---------------------------------------------------------------------------
 # codimension filtration
@@ -442,35 +429,6 @@ class PointGroupElement:
         c = a @ b
         return PointGroupElement(tuple(tuple(int(x) for x in row) for row in c))
 
-    def apply_transpose(self, x) -> tuple[int, ...]:
-        n = len(self.matrix)
-        return tuple(
-            sum(self.matrix[i][j] * int(x[i]) for i in range(n)) for j in range(n)
-        )
-
-
-def act_on(g: PointGroupElement, pattern: Pattern) -> Pattern:
-    """Image pattern g(P).  Constraint <n, x> >= b pulls back to normal
-    (g^-T) n with the same bound."""
-    if g.dimension != pattern.dimension:
-        raise ValueError("dimension mismatch")
-    ginv = g.inverse()
-    cons = tuple(
-        (tuple(ginv.apply_transpose(n)), b) for n, b in pattern.constraints
-    )
-    return Pattern(pattern.dimension, cons)
-
-
-def check_filtration_invariance(
-    filtration: Filtration, g: PointGroupElement
-) -> bool:
-    """True when every filtration level is setwise invariant under g."""
-    for level in filtration.levels:
-        mapped = {act_on(g, p).canonical() for p in level}
-        if mapped != set(level):
-            return False
-    return True
-
 
 # ---------------------------------------------------------------------------
 # serialization
@@ -489,11 +447,3 @@ def pattern_from_dict(d: dict) -> Pattern:
         (tuple(c["normal"]), int(c.get("bound", 0))) for c in d.get("constraints", [])
     )
     return Pattern(int(d["dimension"]), cons)
-
-
-def pattern_to_json(p: Pattern) -> str:
-    return json.dumps(pattern_to_dict(p), indent=2, sort_keys=True)
-
-
-def pattern_from_json(s: str) -> Pattern:
-    return pattern_from_dict(json.loads(s))

@@ -111,9 +111,7 @@ def _shift_invert_vectors(h, k: int, sigma: float, v0: np.ndarray) -> np.ndarray
     return spla.eigsh(h, k=k, sigma=sigma, which="LM", v0=v0, OPinv=op)[1]
 
 
-def folded_near_zero(
-    h, nev: int, seed: int = 0, residual_factor: float = RESIDUAL_FACTOR
-) -> tuple[np.ndarray, np.ndarray]:
+def folded_near_zero(h, nev: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """``nev`` eigenpairs of sparse hermitian ``h`` nearest zero.
 
     Shift-invert ARPACK on H itself, about sigma = -1e-6 * bound(H): the
@@ -124,7 +122,7 @@ def folded_near_zero(
     non-hermitian driver on complex H leaves vectors inside degenerate
     clusters far from orthonormal, so a dense Ritz step of H on their
     orthonormalized span gives the returned pairs.  The start vector is
-    seeded.  Raises if any residual exceeds residual_factor * bound(H).
+    seeded.  Raises if any residual exceeds RESIDUAL_FACTOR * bound(H).
     The name is kept from the folded H^2 route this replaced, because
     callers and tools outside the package look the function up by name.
     """
@@ -145,7 +143,7 @@ def folded_near_zero(
     svals, svecs = np.linalg.eigh(0.5 * (small + small.conj().T))
     vals, vecs = _window(svals, basis @ svecs, nev)
     vecs = _fix_phases(vecs)
-    _check_residual(h, vals, vecs, residual_factor * scale, "shift-invert solver")
+    _check_residual(h, vals, vecs, RESIDUAL_FACTOR * scale, "shift-invert solver")
     return vals, vecs
 
 

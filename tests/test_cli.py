@@ -211,6 +211,24 @@ def test_cube_mode_weights_do_not_depend_on_the_solver_basis(tmp_path):
         assert np.max(np.abs(other[:, 1:] - rows[0][:, 1:])) < 1e-8
 
 
+def test_spectrum_weights_do_not_depend_on_the_solver_seed(tmp_path):
+    # the same degenerate pairs on an open cube, through the spectrum task:
+    # its per-state weights must not follow the seeded start vector either
+    rows = []
+    for seed in (0, 1, 2):
+        cfg = validate_config(tiny_config(
+            model={"name": "ham3"}, geometry={"kind": "cube", "side": 8}, tasks=["spectrum"],
+            solver={"nev": 8, "dense_cutoff": 64, "seed": seed},
+        ))
+        run_config(cfg, tmp_path / str(seed))
+        rows.append(np.loadtxt(tmp_path / str(seed) / "spectrum-ham3-g0.5-cube8.csv",
+                               delimiter=",", skiprows=1))
+    assert rows[0].shape == (8, 2 + 9)  # index, energy, nine wire regions
+    for other in rows[1:]:
+        assert np.array_equal(other[:, 1], rows[0][:, 1])
+        assert np.max(np.abs(other[:, 2:] - rows[0][:, 2:])) < 1e-8
+
+
 def test_main_run_success_exit_zero(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config()))
@@ -259,6 +277,17 @@ def test_main_bulk_bands_exit_two(tmp_path, capsys, model):
     cfg_path.write_text(json.dumps(tiny_config(model=model, geometry={"kind": "bulk"})))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "config error at geometry:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("geometry", [{"kind": "bulk"}, {"kind": "slab", "depth": 10}], ids=["bulk", "slab"])
+def test_chiral_invariants_need_a_quarter_panel(tmp_path, capsys, geometry):
+    # the corner index is a quarter-plane count; other panels define none
+    cfg_path = tmp_path / "chiral.json"
+    cfg_path.write_text(json.dumps(tiny_config(
+        model={"name": "chiral-quarter-uC"}, geometry=geometry, tasks=["invariants"],
+    )))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error at geometry: no invariant defined" in capsys.readouterr().err
 
 
 def test_main_solver_failure_exit_three(tmp_path, capsys):

@@ -9,18 +9,15 @@ from hotilab.invariants import (
     _round_integer,
     bulk_corner_parity,
     chern_number_2d,
-    chiral_offdiagonal_block,
     corner_index,
     face_layer_index,
     hinge_spectral_flow,
-    mirror_block_windings,
     plane_bloch,
     trim_parities,
-    winding_number,
 )
 from hotilab.models import Assembly, HoppingModel, builtin_model, s0, s1, s2, s3, wire_geometry
 from hotilab.spectral import spectral_norm_bound
-from hotilab.symmetry import MomentumReversal, builtin_action, momentum_reversal
+from hotilab.symmetry import MomentumReversal, momentum_reversal
 
 TOL = 1e-9
 
@@ -102,32 +99,11 @@ def test_plane_cherns_vanish_for_inversion_model():
             assert chern_number_2d(plane_bloch(m, axis, value), resolution=12) == 0
 
 
-def test_winding_of_phase_powers():
-    assert winding_number(lambda k: np.array([[np.exp(1j * k)]])) == 1
-    assert winding_number(lambda k: np.array([[np.exp(-2j * k)]])) == -2
-    assert winding_number(lambda k: np.array([[2.0 + np.exp(1j * k)]])) == 0
-
-
-def test_winding_rejects_vanishing_determinant():
-    with pytest.raises(RuntimeError):
-        winding_number(lambda k: np.array([[1.0 + np.exp(1j * k)]]))
-
-
 def test_chiral_block_requires_grading():
-    with pytest.raises(ValueError):
-        chiral_offdiagonal_block(two_band(-1.0))
-
-
-def test_mirror_windings_corner_model():
-    m = builtin_model("chiral-quarter-uC")
-    mirror = builtin_action("mirror-diagonal").unitaries["g"]
-    assert mirror_block_windings(m, mirror) == (1, -1)
-
-
-def test_mirror_windings_face_model():
-    m = builtin_model("chiral-quarter-uF")
-    mirror = builtin_action("mirror-diagonal").unitaries["g"]
-    assert mirror_block_windings(m, mirror) == (0, 2)
+    # the corner count reads chirality eigenvalues, so a model without a
+    # grading is refused before any solve
+    with pytest.raises(ValueError, match="chirality grading"):
+        corner_index(two_band(-1.0))
 
 
 def test_corner_index_quarter_model():

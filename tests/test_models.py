@@ -1,5 +1,6 @@
 """Hopping models: Bloch matrices, real-space assembly, built-ins."""
 
+import json
 from itertools import product
 
 import numpy as np
@@ -16,7 +17,6 @@ from hotilab.models import (
     cube_geometry,
     instantiate,
     model_from_dict,
-    model_to_dict,
     quarter_geometry,
     slab_geometry,
     wire_geometry,
@@ -28,13 +28,13 @@ TOL = 1e-12
 
 def test_ham1_has_seven_displacements():
     m = builtin_model("ham1", gamma=0.0)
-    assert len(m.displacements()) == 7
-    assert set(m.displacements()) == {
+    assert len(m.hoppings) == 7
+    assert set(m.hoppings) == {
         (0, 0, 0),
         (1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1),
     }
     # the perturbation only touches the onsite term
-    assert len(builtin_model("ham1", gamma=0.7).displacements()) == 7
+    assert len(builtin_model("ham1", gamma=0.7).hoppings) == 7
 
 
 def test_ham1_bloch_eigenvalues_at_corners():
@@ -155,14 +155,25 @@ def test_wire_geometry_matches_quarter_cross_section():
 
 
 def test_model_json_roundtrip():
-    m = builtin_model("ham3", gamma=0.35)
-    d = model_to_dict(m)
-    m2 = model_from_dict(d)
-    assert set(m2.hoppings) == set(m.hoppings)
-    for key, w in m.hoppings.items():
-        assert np.max(np.abs(m2.hoppings[key] - w)) < TOL
+    d = {
+        "dimension": 1,
+        "norb": 2,
+        "name": "chain",
+        "hoppings": [
+            {"delta": [0], "matrix": [[[1.0, 0.0], [0.0, -2.0]], [[0.0, 2.0], [-1.0, 0.0]]]},
+            {"delta": [1], "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.5]]]},
+            {"delta": [-1], "matrix": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, -0.5]]]},
+        ],
+    }
+    m = model_from_dict(json.loads(json.dumps(d)))
+    assert (m.dimension, m.norb, m.name) == (1, 2, "chain")
+    assert np.array_equal(m.hoppings[(0,)], [[1, -2j], [2j, -1]])
+    assert np.array_equal(m.hoppings[(1,)], [[0.5, 0], [0, 0.5j]])
+    assert np.array_equal(m.hoppings[(-1,)], m.hoppings[(1,)].conj().T)
     m3 = model_from_dict({"model": "ham3", "gamma": 0.35})
-    for key, w in m.hoppings.items():
+    ref = builtin_model("ham3", gamma=0.35)
+    assert set(m3.hoppings) == set(ref.hoppings)
+    for key, w in ref.hoppings.items():
         assert np.max(np.abs(m3.hoppings[key] - w)) < TOL
 
 
