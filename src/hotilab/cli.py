@@ -80,7 +80,6 @@ from .spectral import (
     slab_gap_scan,
     wire_regions,
     write_band_csv,
-    write_spectrum_csv,
 )
 from .symmetry import (
     BUILTIN_ACTIONS,
@@ -100,7 +99,6 @@ DEFAULT_SOLVER = {
     "window": 16,        # states kept around zero energy in band scans
     "nev": 8,            # near-zero modes for spectrum tasks
     "bulk_grid": 16,     # momentum grid for bulk gap scans
-    "dense_cutoff": 2048,
 }
 DEFAULT_SIZES = {"wire": 28, "cube": 16, "slab": 30, "quarter": 24}
 
@@ -153,15 +151,24 @@ def _normalize_model(spec, path) -> dict:
     return {"name": name, "gamma": out}
 
 
-def _normalize_geometry(spec, path) -> dict:
+def _normalize_geometry(spec, path, dimension: int) -> dict:
+    """A geometry of a ``dimension``-dimensional model; one the model
+    cannot carry (a slab direction it lacks, a wire or cube of a 2D
+    model) is a config error."""
     if not isinstance(spec, dict):
         _fail(path, "expected an object")
     kind = spec.get("kind")
     if kind not in GEOMETRY_KINDS:
         _fail(f"{path}.kind", f"unknown kind {kind!r}; have {', '.join(GEOMETRY_KINDS)}")
+    # a slab-yz/xz/xy needs the model to have its normal direction
+    fits = {"wire": dimension >= 3, "cube": dimension == 3, "quarter": dimension >= 2}
+    if not fits.get(kind, dimension > SLAB_DIRECTIONS.get(kind, 0)):
+        _fail(f"{path}.kind", f"a {kind} geometry does not fit a {dimension}D model")
     out = {"kind": kind}
     if kind == "slab":
         out["direction"] = _check_int(spec.get("direction", 0), f"{path}.direction", minimum=0)
+        if out["direction"] >= dimension:
+            _fail(f"{path}.direction", f"expected a direction below {dimension}, the model dimension")
         out["depth"] = _check_int(spec.get("depth", DEFAULT_SIZES["slab"]), f"{path}.depth")
     elif kind.startswith("slab-"):
         out["depth"] = _check_int(spec.get("depth", DEFAULT_SIZES["slab"]), f"{path}.depth")
@@ -178,11 +185,12 @@ def validate_config(doc) -> dict:
     if "model" not in doc:
         _fail("model", "missing")
     cfg["model"] = _normalize_model(doc["model"], "model")
+    dimension = _model_instances(cfg["model"])[0][1].dimension
     geos = doc.get("geometry", {"kind": "bulk"})
     if not isinstance(geos, list):
         geos = [geos]
     cfg["geometry"] = [
-        _normalize_geometry(g, f"geometry[{i}]") for i, g in enumerate(geos)
+        _normalize_geometry(g, f"geometry[{i}]", dimension) for i, g in enumerate(geos)
     ]
     tasks = doc.get("tasks")
     if not isinstance(tasks, list) or not tasks:
@@ -336,10 +344,7 @@ def _near_zero_modes(model, geometry, solver):
     are open).  Degenerate clusters are rotated onto the regions first, so
     no weight depends on the solver's basis inside a multiplet."""
     ham = instantiate(model, geometry, (0.0,) * len(geometry.periodic_dirs))
-    vals, vecs = near_zero_states(
-        ham.matrix, min(solver["nev"], ham.dim), seed=solver["seed"],
-        dense_cutoff=solver["dense_cutoff"],
-    )
+    vals, vecs = near_zero_states(ham.matrix, solver["nev"], seed=solver["seed"])
     if len(geometry.open_dirs) < 2:
         return vals, vecs, {}
     part = wire_regions(geometry, model.norb)
@@ -360,10 +365,7 @@ def _write_modes_csv(path, index: str, vals, weights: dict) -> None:
 def _task_spectrum(model, geometry, scans, outdir, label):
     vals, _, weights = _near_zero_modes(model, geometry, scans.solver)
     path = outdir / f"spectrum-{label}.csv"
-    if weights:
-        _write_modes_csv(path, "index", vals, weights)
-    else:
-        write_spectrum_csv(path, vals)
+    _write_modes_csv(path, "index", vals, weights)
     summary = {"min_abs_energy": float(np.min(np.abs(vals))), "states": int(len(vals))}
     return [path], summary
 
@@ -606,9 +608,8 @@ class Scans:
         hinge-region weights when two directions are open."""
         part = wire_regions(geometry, model.norb) if len(geometry.open_dirs) >= 2 else None
         return band_structure(
-            model, geometry, _momentum_path(nk)[:, None], partition=part,
-            window=min(window, len(geometry.sites()) * model.norb),
-            seed=self.solver["seed"], dense_cutoff=self.solver["dense_cutoff"],
+            model, geometry, _momentum_path(nk)[:, None], partition=part, window=window,
+            seed=self.solver["seed"],
         )
 
     @_once
@@ -616,7 +617,6 @@ class Scans:
         rep = hinge_spectral_flow(
             model, side=int(geometry.extents[geometry.open_dirs[0]]), nk=self.solver["k_grid"],
             window=self.solver["window"], seed=self.solver["seed"],
-            dense_cutoff=self.solver["dense_cutoff"],
         )
         self._record(f"hinge-flow-{model.name}.json", rep)
         return rep
@@ -624,8 +624,7 @@ class Scans:
     @_once
     def corner(self, label, model, geometry) -> CornerReport:
         rep = corner_index(
-            model, side=int(geometry.extents[0]), nev=self.solver["nev"], seed=self.solver["seed"],
-            dense_cutoff=self.solver["dense_cutoff"],
+            model, side=int(geometry.extents[0]), nev=self.solver["nev"], seed=self.solver["seed"]
         )
         self._record("corner-report.json", rep)
         return rep
@@ -864,8 +863,7 @@ def reproduce(rid: str, out_dir, solver=None, sizes=None) -> dict:
 # entry point
 
 
-def _add_common_flags(p):
-    p.add_argument("--out", default=None, help="output directory")
+def _add_solver_flags(p):
     p.add_argument("--seed", type=int, default=None, help="solver seed override")
     p.add_argument("--grid", type=int, default=None, help="momentum grid override")
     p.add_argument("--size", type=int, default=None, help="geometry size override")
@@ -880,37 +878,34 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     p = sub.add_parser("run", help="execute a JSON experiment config")
     p.add_argument("config", help="path to the config document")
-    _add_common_flags(p)
+    _add_solver_flags(p)
     p = sub.add_parser("reproduce", help="canned data set with PASS/FAIL summary")
     p.add_argument("id", choices=REPRODUCE_IDS)
-    _add_common_flags(p)
+    _add_solver_flags(p)
     p = sub.add_parser("kss", help="exact-couple report for a preset or JSON file")
     p.add_argument("which", help=f"one of {', '.join(PRESET_NAMES)} or a JSON path")
-    _add_common_flags(p)
     p = sub.add_parser("transversal", help="pattern classes and filtration sizes")
     p.add_argument("which", help="quarter|square|square-3d|cube or a JSON path")
-    _add_common_flags(p)
     p = sub.add_parser("check-symmetry", help="covariance/relations verdict")
     p.add_argument("model", help=f"one of {', '.join(BUILTIN_MODELS)}")
     p.add_argument("action", help=f"one of {', '.join(BUILTIN_ACTIONS)}")
     p.add_argument("--gamma", type=float, default=0.5)
-    _add_common_flags(p)
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="output directory")
     return ap
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
+def _apply_overrides(solver: dict, args) -> int | None:
+    """Apply ``--seed`` and ``--grid`` to ``solver`` in place; return the
+    checked ``--size`` (None when absent).  ``--grid`` sets ``k_grid`` and
+    may lower ``bulk_grid``, never raise it: the bulk gap scan makes
+    grid^3 dense solves."""
     if args.seed is not None:
-        cfg["solver"]["seed"] = _check_int(args.seed, "--seed", minimum=0)
+        solver["seed"] = _check_int(args.seed, "--seed", minimum=0)
     if args.grid is not None:
-        cfg["solver"]["k_grid"] = _check_int(args.grid, "--grid")
-        cfg["solver"]["bulk_grid"] = cfg["solver"]["k_grid"]
-    if args.size is not None:
-        size = _check_int(args.size, "--size")
-        for g in cfg["geometry"]:
-            for key in ("side", "depth"):
-                if key in g:
-                    g[key] = size
-    return cfg
+        solver["k_grid"] = _check_int(args.grid, "--grid")
+        solver["bulk_grid"] = min(solver["k_grid"], solver["bulk_grid"])
+    return None if args.size is None else _check_int(args.size, "--size")
 
 
 def _fail_payload(task: str, exc: BaseException) -> dict:
@@ -934,7 +929,13 @@ def _load_json(path, field):
 
 def _cmd_run(args) -> int:
     doc = _load_json(args.config, "config")
-    cfg = _apply_overrides(validate_config(doc), args)
+    cfg = validate_config(doc)
+    size = _apply_overrides(cfg["solver"], args)
+    if size is not None:
+        for g in cfg["geometry"]:
+            for key in ("side", "depth"):
+                if key in g:
+                    g[key] = size
     out = args.out or cfg.get("out") or f"out/{cfg.get('name') or 'run'}"
     summary = run_config(cfg, out)
     print(json.dumps(summary, indent=2, sort_keys=True, default=str))
@@ -943,15 +944,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_reproduce(args) -> int:
     out = args.out or f"out/{args.id}"
-    solver = {}
-    if args.seed is not None:
-        solver["seed"] = _check_int(args.seed, "--seed", minimum=0)
-    if args.grid is not None:
-        solver["k_grid"] = _check_int(args.grid, "--grid")
-        solver["bulk_grid"] = min(args.grid, DEFAULT_SOLVER["bulk_grid"])
-    sizes = {}
-    if args.size is not None:
-        sizes = dict.fromkeys(DEFAULT_SIZES, _check_int(args.size, "--size"))
+    solver = dict(DEFAULT_SOLVER)
+    size = _apply_overrides(solver, args)
+    sizes = {} if size is None else dict.fromkeys(DEFAULT_SIZES, size)
     summary = reproduce(args.id, out, solver=solver, sizes=sizes)
     for c in summary["claims"]:
         print(f"{c['status']}: {c['claim']} (value: {c['value']})")

@@ -171,7 +171,6 @@ def corner_index(
     side: int = 24,
     nev: int = 8,
     seed: int = 0,
-    dense_cutoff: int = 2048,
 ) -> CornerReport:
     """Graded count of zero modes bound to the corner of a quarter plane.
 
@@ -195,7 +194,7 @@ def corner_index(
     geo = quarter_geometry(side)
     ham = instantiate(model, geo)
     scale = spectral_norm_bound(ham.matrix)
-    vals, vecs = near_zero_states(ham.matrix, nev, seed=seed, dense_cutoff=dense_cutoff)
+    vals, vecs = near_zero_states(ham.matrix, nev, seed=seed)
     part = corner_regions(geo, model.norb)
     vecs = _disentangle_clusters(vals, vecs, part)
     sites = geo.site_array()
@@ -256,7 +255,7 @@ def face_layer_index(side: int = 24) -> int:
         (np.ones(int(keep.sum())), (target[keep], s[keep])), shape=(n, n)
     ).tocsr()
     h = sp.bmat([[None, v.conj().T], [v, None]], format="csr")
-    vals, vecs = near_zero_states(h, 8, dense_cutoff=4096)
+    vals, vecs = near_zero_states(h, 8)
     zero = np.abs(vals) <= 1e-10
     box_diag = np.tile(((x < CORNER_BOX) & (y < CORNER_BOX)).astype(float), 2)
     # the kernel is degenerate across near and far corners: rotate it to
@@ -306,7 +305,6 @@ def hinge_spectral_flow(
     nk: int = 101,
     window: int = 16,
     seed: int = 0,
-    dense_cutoff: int = 2048,
 ) -> HingeReport:
     """Signed zero crossings of wire bands, attributed to hinge regions.
 
@@ -336,9 +334,7 @@ def hinge_spectral_flow(
     # fourfold-rotation models) land strictly inside a segment instead of on
     # a sample, where their sign is numerical noise.
     ks = -np.pi + (np.arange(nk) + 0.5) * (2.0 * np.pi / nk)
-    data, vecs = _momentum_scan(
-        model, geo, ks[:, None], window, part, seed, dense_cutoff, keep_vectors=True
-    )
+    data, vecs = _momentum_scan(model, geo, ks[:, None], window, part, seed, keep_vectors=True)
     energies = data.energies
     warnings: list[str] = []
     for k, vals in zip(ks, energies):

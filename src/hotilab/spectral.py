@@ -5,8 +5,10 @@ phase-fixed) and a sparse solver for the eigenvalues of H nearest zero:
 shift-invert ARPACK on H itself about a small negative shift, from one LU
 of H - sigma (symmetric minimum-degree ordering, pivot threshold 0.01)
 that is freed before a Ritz step on the orthonormalized result, with a
-seeded start vector.  ``near_zero_states`` alone chooses between them;
-both share one window pick and one residual check.  Band scans build a
+seeded start vector.  ``near_zero_states`` alone chooses between them,
+on the matrix size: dense up to ``DENSE_CUTOFF`` (a module constant, not
+an option of any caller or config), sparse above it; both share one
+window pick and one residual check.  Band scans build a
 model's assembly once and evaluate it per momentum, and attach per-region
 spatial weights (regions are masks on the geometry's site array),
 disentangling degenerate clusters so weights are stable under basis
@@ -28,6 +30,7 @@ from .models import Assembly, Geometry, HoppingModel, slab_geometry
 from .symmetry import momentum_reversal
 
 __all__ = [
+    "DENSE_CUTOFF",
     "DENSE_DIM_CAP",
     "dense_eigh",
     "folded_near_zero",
@@ -43,9 +46,9 @@ __all__ = [
     "slab_gap_scan",
     "minimum_bulk_gap",
     "write_band_csv",
-    "write_spectrum_csv",
 ]
 
+DENSE_CUTOFF = 2048     # largest dimension near_zero_states diagonalizes densely
 DENSE_DIM_CAP = 16384
 RESIDUAL_FACTOR = 1e-8  # residual tolerance relative to a norm bound of H
 CLUSTER_TOL = 1e-7      # eigenvalue spacing treated as degenerate
@@ -147,15 +150,15 @@ def folded_near_zero(h, nev: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray
     return vals, vecs
 
 
-def near_zero_states(
-    h, nev: int, seed: int = 0, dense_cutoff: int = 2048
-) -> tuple[np.ndarray, np.ndarray]:
-    """The one dense/sparse router: dense up to ``dense_cutoff`` (or when
-    nearly the whole spectrum is asked for), above it the shift-invert
-    solver ``folded_near_zero`` (named for the folded H^2 route it
-    replaced); both return the ``nev`` pairs nearest zero, sorted by energy."""
+def near_zero_states(h, nev: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The one dense/sparse router, on the matrix size alone: dense up to
+    ``DENSE_CUTOFF`` (or when nearly the whole spectrum is asked for),
+    above it the shift-invert solver ``folded_near_zero`` (named for the
+    folded H^2 route it replaced); both return the ``nev`` pairs nearest
+    zero, sorted by energy.  The cutoff is read at call time, so a test
+    can lower it to force the sparse route on a small matrix."""
     n = h.shape[0]
-    if n <= dense_cutoff or nev >= n - 1:
+    if n <= DENSE_CUTOFF or nev >= n - 1:
         return _window(*dense_eigh(h), nev)
     return folded_near_zero(h, nev, seed=seed)
 
@@ -274,7 +277,6 @@ def _momentum_scan(
     nev: int | None,
     partition: RegionPartition | None,
     seed: int,
-    dense_cutoff: int,
     keep_vectors: bool = False,
 ):
     """The one momentum-scan loop, behind ``band_structure`` and the hinge flow.
@@ -297,8 +299,7 @@ def _momentum_scan(
     energies, weights, kept = [None] * n, [None] * n, [None] * n
     for i in range(nsolve):
         vals, vecs = near_zero_states(
-            asm.matrix(momenta[i]), asm.dim if nev is None else nev,
-            seed=seed, dense_cutoff=dense_cutoff,
+            asm.matrix(momenta[i]), asm.dim if nev is None else nev, seed=seed
         )
         found = {i: vecs}
         j = n - 1 - i
@@ -335,7 +336,6 @@ def band_structure(
     partition: RegionPartition | None = None,
     window: int | None = None,
     seed: int = 0,
-    dense_cutoff: int = 2048,
 ) -> BandData:
     """Spectrum along a momentum list; ``window`` keeps only that many
     states nearest zero energy (sparse solver route for large systems).
@@ -345,7 +345,7 @@ def band_structure(
     ``_momentum_scan``); ``k_reversal`` and ``solved_momenta`` record it.
     Only a solved window and its image are held at a time.
     """
-    return _momentum_scan(model, geometry, momenta, window, partition, seed, dense_cutoff)[0]
+    return _momentum_scan(model, geometry, momenta, window, partition, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +410,3 @@ def write_band_csv(path, data: BandData) -> None:
                 if data.weights is not None:
                     row += [f"{w:.12g}" for w in data.weights[ik, ib]]
                 fh.write(",".join(row) + "\n")
-
-
-def write_spectrum_csv(path, energies) -> None:
-    """Rows: state index, energy."""
-    with open(path, "w") as fh:
-        fh.write("index,energy\n")
-        for i, e in enumerate(np.asarray(energies).ravel()):
-            fh.write(f"{i},{e:.12g}\n")

@@ -69,6 +69,9 @@ def test_bad_solver_option_and_geometry_kind():
     with pytest.raises(ConfigError) as err:
         validate_config(tiny_config(geometry=[{"kind": "sphere"}]))
     assert err.value.errors[0][0] == "geometry[0].kind"
+    with pytest.raises(ConfigError) as err:  # the router's cutoff is no option
+        validate_config(tiny_config(solver={"dense_cutoff": 64}))
+    assert err.value.errors[0][0] == "solver.dense_cutoff"
 
 
 def test_task_options_are_validated():
@@ -163,7 +166,8 @@ def test_spectrum_task_takes_folded_route_above_dense_cutoff(tmp_path, monkeypat
         return folded(h, nev, **kwargs)
 
     monkeypatch.setattr(spectral, "folded_near_zero", spy)
-    cfg = validate_config(tiny_config(tasks=["spectrum"], solver={"nev": 4, "dense_cutoff": 64}))
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 64)
+    cfg = validate_config(tiny_config(tasks=["spectrum"], solver={"nev": 4}))
     summary = run_config(cfg, tmp_path)
     assert dims == [6 * 6 * 4]  # wire side 6, four orbitals
     assert summary["spectrum:ham1-g0.5-wire6"]["states"] == 4
@@ -171,11 +175,11 @@ def test_spectrum_task_takes_folded_route_above_dense_cutoff(tmp_path, monkeypat
 
 @pytest.mark.parametrize("rid, size, dims", [
     (None, 8, [8 * 8 * 4]),
-    ("chiral-quarter", 8, [8 * 8 * 4]),
+    ("chiral-quarter", 8, [8 * 8 * 4, 2 * 8 * 8]),  # corner modes, then the face layer
     ("hinge-modes", 6, [6 * 6 * 6 * 4] * 2),
 ], ids=["run-invariants", "reproduce-corner", "reproduce-cube"])
 def test_near_zero_solves_follow_dense_cutoff(tmp_path, monkeypatch, rid, size, dims):
-    # the corner index and the cube modes read the solver's dense_cutoff too
+    # the corner index, the face layer and the cube modes route on one cutoff
     seen = []
     folded = spectral.folded_near_zero
 
@@ -184,7 +188,8 @@ def test_near_zero_solves_follow_dense_cutoff(tmp_path, monkeypatch, rid, size, 
         return folded(h, nev, **kwargs)
 
     monkeypatch.setattr(spectral, "folded_near_zero", spy)
-    solver = {"nev": 8, "dense_cutoff": 64}
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 64)
+    solver = {"nev": 8}
     if rid is None:
         cfg = validate_config(tiny_config(
             model={"name": "chiral-quarter-uC"}, geometry={"kind": "quarter", "side": size},
@@ -196,14 +201,15 @@ def test_near_zero_solves_follow_dense_cutoff(tmp_path, monkeypatch, rid, size, 
     assert seen == dims
 
 
-def test_cube_mode_weights_do_not_depend_on_the_solver_basis(tmp_path):
+def test_cube_mode_weights_do_not_depend_on_the_solver_basis(tmp_path, monkeypatch):
     # ham3's exactly degenerate pairs come out of each solve in an arbitrary
     # mixture; the per-mode weights of hinge-modes-ham3.csv must not follow it
     rows = []
     for seed, cutoff in [(0, 64), (1, 64), (0, 2048)]:  # sparse, sparse, dense (dim 864)
         out = tmp_path / f"s{seed}-c{cutoff}"
         out.mkdir()
-        scans = Scans({**DEFAULT_SOLVER, "seed": seed, "dense_cutoff": cutoff}, outdir=out)
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
+        scans = Scans({**DEFAULT_SOLVER, "seed": seed}, outdir=out)
         scans.cube("ham3-cube6", builtin_model("ham3", 0.5), cube_geometry(6))
         rows.append(np.loadtxt(out / "hinge-modes-ham3.csv", delimiter=",", skiprows=1))
     assert rows[0].shape == (8, 3 + 9)  # mode, energy, edge, nine wire regions
@@ -211,14 +217,15 @@ def test_cube_mode_weights_do_not_depend_on_the_solver_basis(tmp_path):
         assert np.max(np.abs(other[:, 1:] - rows[0][:, 1:])) < 1e-8
 
 
-def test_spectrum_weights_do_not_depend_on_the_solver_seed(tmp_path):
+def test_spectrum_weights_do_not_depend_on_the_solver_seed(tmp_path, monkeypatch):
     # the same degenerate pairs on an open cube, through the spectrum task:
     # its per-state weights must not follow the seeded start vector either
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 64)
     rows = []
     for seed in (0, 1, 2):
         cfg = validate_config(tiny_config(
             model={"name": "ham3"}, geometry={"kind": "cube", "side": 8}, tasks=["spectrum"],
-            solver={"nev": 8, "dense_cutoff": 64, "seed": seed},
+            solver={"nev": 8, "seed": seed},
         ))
         run_config(cfg, tmp_path / str(seed))
         rows.append(np.loadtxt(tmp_path / str(seed) / "spectrum-ham3-g0.5-cube8.csv",
@@ -247,28 +254,37 @@ def test_main_validation_failure_exit_two(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.json")]) == 2
 
 
-@pytest.mark.parametrize("argv, content", [
-    (["run", "{path}"], None),
-    (["run", "{path}"], b"\xff\xfe{}"),
-    (["transversal", "{path}"], b"[1]"),
-    (["transversal", "{path}"], b'{"patterns": []}'),
-    (["transversal", "{path}"], b'{"patterns": [{"dimension": 2}, {"dimension": 3}]}'),
-    (["kss", "{path}"], b"{not json"),
-    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["bands"], "solver": [1]}'),
-    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["kss"], "kss": [1]}'),
-    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["symmetry-check"], "symmetry": [1]}'),
+@pytest.mark.parametrize("argv, content, field", [
+    (["run", "{path}"], None, "config"),
+    (["run", "{path}"], b"\xff\xfe{}", "config"),
+    (["transversal", "{path}"], b"[1]", "transversal"),
+    (["transversal", "{path}"], b'{"patterns": []}', "transversal.patterns"),
+    (["transversal", "{path}"], b'{"patterns": [{"dimension": 2}, {"dimension": 3}]}',
+     "transversal.patterns"),
+    (["kss", "{path}"], b"{not json", "kss"),
+    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["bands"], "solver": [1]}', "solver"),
+    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["kss"], "kss": [1]}', "kss"),
+    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["symmetry-check"], "symmetry": [1]}',
+     "symmetry"),
+    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["spectrum"], '
+     b'"geometry": {"kind": "slab", "direction": 3}}', "geometry[0].direction"),
+    (["run", "{path}"], b'{"model": {"name": "chiral-quarter-uC"}, "tasks": ["bands"], '
+     b'"geometry": [{"kind": "slab-yz"}, {"kind": "slab-xy"}]}', "geometry[1].kind"),
+    (["run", "{path}"], b'{"model": {"name": "chiral-quarter-uC"}, "tasks": ["spectrum"], '
+     b'"geometry": {"kind": "cube"}}', "geometry[0].kind"),
 ], ids=[
     "run-directory", "run-not-utf8", "transversal-list", "transversal-no-patterns",
     "transversal-mixed-dimensions", "kss-not-json", "solver-list", "kss-list", "symmetry-list",
+    "slab-direction-beyond-model", "slab-xy-of-2d-model", "cube-of-2d-model",
 ])
-def test_malformed_input_exit_two(tmp_path, capsys, argv, content):
+def test_malformed_input_exit_two(tmp_path, capsys, argv, content, field):
     path = tmp_path / "input"
     if content is None:
         path.mkdir()
     else:
         path.write_bytes(content)
     assert main([a.format(path=path) for a in argv]) == 2
-    assert "config error at" in capsys.readouterr().err
+    assert f"config error at {field}:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("model", [{"name": "ham1"}, {"name": "chiral-quarter-uC"}], ids=["ham1", "quarter"])
@@ -332,6 +348,39 @@ def test_size_and_grid_overrides_change_hash_and_geometry(tmp_path, capsys):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "o2")]) == 0
     m2 = json.loads((tmp_path / "o2" / "manifest.json").read_text())
     assert m1["config_hash"] != m2["config_hash"]
+
+
+def test_grid_override_lowers_bulk_grid_and_never_raises_it(tmp_path, monkeypatch):
+    # one rule for run and reproduce: --grid sets k_grid, and bulk_grid
+    # becomes the smaller of --grid and the bulk_grid already in effect
+    seen = []
+    monkeypatch.setattr(cli, "run_config", lambda cfg, out: seen.append(cfg["solver"]) or {})
+    monkeypatch.setattr(cli, "reproduce", lambda rid, out, solver, sizes: seen.append(solver) or
+                        {"claims": [], "warnings": [], "passed": True})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(solver={"k_grid": 5, "bulk_grid": 8})))
+    for grid in ([], ["--grid", "5"], ["--grid", "12"], ["--grid", "101"]):
+        assert main(["run", str(cfg_path), *grid, "--out", str(tmp_path / "run")]) == 0
+        assert main(["reproduce", "model1", *grid, "--out", str(tmp_path / "rep")]) == 0
+    assert [(s["k_grid"], s["bulk_grid"]) for s in seen] == [
+        (5, 8), (101, 16),    # no override: the config's grids, the defaults
+        (5, 5), (5, 5),
+        (12, 8), (12, 12),
+        (101, 8), (101, 16),
+    ]
+
+
+@pytest.mark.parametrize("argv", [
+    ["kss", "square-inversion", "--seed", "1"],
+    ["transversal", "square", "--grid", "3"],
+    ["check-symmetry", "ham3", "C4T", "--size", "2"],
+], ids=["kss", "transversal", "check-symmetry"])
+def test_report_subcommands_take_no_solver_flags(capsys, argv):
+    # --seed, --grid and --size would be ignored here, so argparse rejects them
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +470,7 @@ def test_reproduce_model1_small_claim_shape(tmp_path):
     assert all(c["ok"] for c in gapless)  # surface Dirac cones at gamma=0
 
 
-def _stub_corner_report(model, side, nev, seed, dense_cutoff):
+def _stub_corner_report(model, side, nev, seed):
     return CornerReport(
         index=1, zero_energies=np.zeros(1), corner_weights=np.ones(1),
         box_weights=np.ones(1), chirality_values=np.ones(1), edge_gap=1.0,
@@ -457,8 +506,10 @@ def test_readme_commands_run(tmp_path, monkeypatch):
     commands = [shlex.split(x)[1:] for x in lines if x.startswith("hoti-lab ")]
     assert {c[0] for c in commands} == {"run", "reproduce", "kss", "transversal", "check-symmetry"}
     for i, argv in enumerate(commands):
+        if argv[0] in ("run", "reproduce"):
+            argv += ["--size", "8", "--grid", "5"]
         # a later --out overrides the README's own
-        argv += ["--size", "8", "--grid", "5", "--out", str(tmp_path / str(i))]
+        argv += ["--out", str(tmp_path / str(i))]
         code = main(argv)
         if argv[0] == "reproduce":
             # small sizes may fail claims; then, and only then, the exit is 1

@@ -127,13 +127,13 @@ def test_corner_index_requires_gapped_edges():
 
 
 def test_face_layer_index_is_minus_two():
-    assert face_layer_index(side=16) == -2
+    assert face_layer_index(side=16) == -2  # dimension 512: dense route
+    assert face_layer_index(side=34) == -2  # dimension 2312: shift-invert route
 
 
-def test_hinge_flow_antipodal_model():
-    rep = hinge_spectral_flow(
-        builtin_model("ham1"), side=12, nk=41, window=12, dense_cutoff=256
-    )
+def test_hinge_flow_antipodal_model(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
+    rep = hinge_spectral_flow(builtin_model("ham1"), side=12, nk=41, window=12)
     assert rep.flows == {"hinge1": 1, "hinge2": 0, "hinge3": -1, "hinge4": 0}
     assert rep.kirchhoff_sum == 0
     ks = sorted(c["k"] for c in rep.crossings)
@@ -141,20 +141,18 @@ def test_hinge_flow_antipodal_model():
     assert all(c["hinge"] is not None for c in rep.crossings)
 
 
-def test_hinge_flow_fourfold_model_alternates():
-    rep = hinge_spectral_flow(
-        builtin_model("ham3"), side=12, nk=41, window=12, dense_cutoff=256
-    )
+def test_hinge_flow_fourfold_model_alternates(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
+    rep = hinge_spectral_flow(builtin_model("ham3"), side=12, nk=41, window=12)
     assert rep.flows == {"hinge1": 1, "hinge2": -1, "hinge3": 1, "hinge4": -1}
     assert rep.kirchhoff_sum == 0
     # all four crossings within one grid step of the zone boundary
     assert all(abs(abs(c["k"]) - np.pi) < 2 * np.pi / 41 for c in rep.crossings)
 
 
-def test_hinge_flow_twofold_model():
-    rep = hinge_spectral_flow(
-        builtin_model("ham2"), side=14, nk=41, window=12, dense_cutoff=256
-    )
+def test_hinge_flow_twofold_model(monkeypatch):
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
+    rep = hinge_spectral_flow(builtin_model("ham2"), side=14, nk=41, window=12)
     assert rep.flows == {"hinge1": 0, "hinge2": -1, "hinge3": 0, "hinge4": 1}
     assert rep.kirchhoff_sum == 0
 
@@ -164,7 +162,8 @@ def test_hinge_flow_twofold_model():
 ])
 def test_hinge_flow_half_scan_matches_full_scan(monkeypatch, mname, side, nk):
     model = builtin_model(mname)
-    kw = dict(side=side, nk=nk, window=12, dense_cutoff=256)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
+    kw = dict(side=side, nk=nk, window=12)
     half = hinge_spectral_flow(model, **kw)
     monkeypatch.setattr(spectral, "momentum_reversal", lambda *args: None)
     full = hinge_spectral_flow(model, **kw)

@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import hotilab.spectral as spectral
+from hotilab.cli import _write_modes_csv
 from hotilab.models import (
     Assembly,
     HoppingModel,
@@ -31,7 +32,6 @@ from hotilab.spectral import (
     spectral_norm_bound,
     wire_regions,
     write_band_csv,
-    write_spectrum_csv,
 )
 
 RTOL = 1e-10
@@ -139,18 +139,21 @@ def test_dense_cap_checked_before_materializing():
         dense_eigh(big)
 
 
-def test_near_zero_routing_consistent():
+def test_near_zero_routing_consistent(monkeypatch):
     h = _wire_ham(side=8)
-    a = near_zero_states(h, 6, dense_cutoff=10_000)[0]  # dense route
-    b = near_zero_states(h, 6, dense_cutoff=10)[0]      # folded route
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10_000)
+    a = near_zero_states(h, 6)[0]  # dense route
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
+    b = near_zero_states(h, 6)[0]  # folded route
     assert np.max(np.abs(a - b)) < RTOL
 
 
-def test_folded_rejects_nearly_full_spectrum():
+def test_folded_rejects_nearly_full_spectrum(monkeypatch):
     h = _wire_ham(side=3)  # dimension 36
     with pytest.raises(ValueError, match="near_zero_states"):
         folded_near_zero(h, 35)
-    vals, _ = near_zero_states(h, 35, dense_cutoff=1)  # routed to dense
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
+    vals, _ = near_zero_states(h, 35)  # routed to dense
     assert len(vals) == 35
 
 
@@ -262,7 +265,8 @@ def test_halved_band_scan_matches_full_scan(monkeypatch, mname, side, nk):
     geo = wire_geometry(3, side)
     part = wire_regions(geo, model.norb)
     ks = np.linspace(-np.pi, np.pi, nk)[:, None]
-    kw = dict(partition=part, window=12, dense_cutoff=256)
+    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
+    kw = dict(partition=part, window=12)
     half = band_structure(model, geo, ks, **kw)
     monkeypatch.setattr(spectral, "momentum_reversal", lambda *args: None)
     full = band_structure(model, geo, ks, **kw)
@@ -318,7 +322,7 @@ def test_band_csv_roundtrip(tmp_path):
 
 def test_spectrum_csv(tmp_path):
     path = tmp_path / "spec.csv"
-    write_spectrum_csv(path, [0.5, -0.25])
+    _write_modes_csv(path, "index", [0.5, -0.25], {})
     assert path.read_text() == "index,energy\n0,0.5\n1,-0.25\n"
 
 
