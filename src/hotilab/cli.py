@@ -1,11 +1,13 @@
 """Config-driven experiment runner: spectra, bands, invariants, reports.
 
 Subcommands
-    run CONFIG.json       execute the task list of a JSON experiment config
+    run CONFIG.json       run the panel tasks (spectrum, bands, invariants)
+                          of a JSON experiment config on each model x geometry
     reproduce ID          canned desk-scale data sets, checked against CLAIMS
     kss WHICH             exact-couple page and boundary-map report (JSON)
     transversal WHICH     pattern-class listing with filtration sizes (JSON)
     check-symmetry M A    covariance and projective-relation verdict (JSON)
+                          of a built-in model or a model JSON file M
 
 Exit codes: 0 success, 1 when a reproduced claim is an unexpected FAIL or
 XPASS, 2 config validation error (with field-path diagnostics), 3
@@ -83,12 +85,12 @@ from .spectral import (
 )
 from .symmetry import (
     BUILTIN_ACTIONS,
+    SymmetryAction,
     builtin_action,
     check_covariance,
     verify_projective_relations,
 )
 
-TASKS = ("spectrum", "bands", "invariants", "kss", "transversal", "symmetry-check")
 REPRODUCE_IDS = ("model1", "model2", "model3", "hinge-modes", "chiral-quarter")
 GEOMETRY_KINDS = ("bulk", "slab", "slab-yz", "slab-xz", "slab-xy", "wire", "cube", "quarter")
 
@@ -200,63 +202,17 @@ def validate_config(doc) -> dict:
             _fail(f"tasks[{i}]", f"unknown task {t!r}; have {', '.join(TASKS)}")
     cfg["tasks"] = list(tasks)
     solver = dict(DEFAULT_SOLVER)
-    for key, value in _options(doc, "solver").items():
+    options = doc.get("solver") or {}
+    if not isinstance(options, dict):
+        _fail("solver", "expected an object")
+    for key, value in options.items():
         if key not in DEFAULT_SOLVER:
             _fail(f"solver.{key}", f"unknown option; have {', '.join(DEFAULT_SOLVER)}")
         solver[key] = _check_int(value, f"solver.{key}", minimum=0 if key == "seed" else 1)
     cfg["solver"] = solver
-    if "kss" in cfg["tasks"]:
-        opts = _options(doc, "kss")
-        which = opts.get("preset")
-        if "data" in opts:
-            try:
-                cofiltration_from_dict(opts["data"])
-            except Exception as e:
-                _fail("kss.data", f"not a valid cofiltration ({e})")
-            cfg["kss"] = {"data": opts["data"]}
-        elif which in PRESET_NAMES:
-            cfg["kss"] = {"preset": which}
-        else:
-            _fail("kss.preset", f"unknown preset {which!r}; have {', '.join(PRESET_NAMES)}")
-    if "transversal" in cfg["tasks"]:
-        cfg["transversal"] = _normalize_transversal(doc.get("transversal") or {}, "transversal")
-    if "symmetry-check" in cfg["tasks"]:
-        opts = _options(doc, "symmetry")
-        action = opts.get("action")
-        if action not in BUILTIN_ACTIONS:
-            _fail(
-                "symmetry.action",
-                f"unknown action {action!r}; have {', '.join(BUILTIN_ACTIONS)}",
-            )
-        cfg["symmetry"] = {"action": action}
     if "out" in doc:
         cfg["out"] = str(doc["out"])
     return cfg
-
-
-def _options(doc: dict, key: str) -> dict:
-    """The options object ``doc[key]``, empty when absent."""
-    opts = doc.get(key) or {}
-    if not isinstance(opts, dict):
-        _fail(key, "expected an object")
-    return opts
-
-
-def _normalize_transversal(opts, path) -> dict:
-    if not isinstance(opts, dict):
-        _fail(path, "expected an object")
-    if "patterns" in opts:
-        try:
-            dims = {pattern_from_dict(p).dimension for p in opts["patterns"]}
-        except Exception as e:
-            _fail(f"{path}.patterns", f"not valid patterns ({e})")
-        if len(dims) != 1:
-            _fail(f"{path}.patterns", "expected a non-empty list of patterns of one dimension")
-        return {"patterns": opts["patterns"]}
-    seeds = opts.get("seeds")
-    if seeds not in ("quarter", "square", "square-3d", "cube"):
-        _fail(f"{path}.seeds", f"unknown seed set {seeds!r}")
-    return {"seeds": seeds}
 
 
 def config_hash(cfg: dict) -> str:
@@ -390,13 +346,9 @@ def _task_bands(model, geometry, scans, outdir, label):
     # two periodic directions: scan a line for plotting, a grid for the gap
     direction = geometry.open_dirs[0]
     depth = int(geometry.extents[direction])
-    line = _momentum_path(nk)
-    energies = list(dense_spectra(slab_bloch(model, direction, depth), [(k, 0.0) for k in line]))
-    with open(path, "w") as fh:
-        fh.write("k1,k2,band,energy\n")
-        for k, vals in zip(line, energies):
-            for b, e in enumerate(vals):
-                fh.write(f"{k:.12g},0,{b},{e:.12g}\n")
+    momenta = np.column_stack([_momentum_path(nk), np.zeros(nk)])
+    energies = np.array(list(dense_spectra(slab_bloch(model, direction, depth), momenta)))
+    write_band_csv(path, BandData(momenta, energies, None, (), None, nk))
     gap = scans.gap(label, model, geometry)
     return [path], {"min_abs_energy_grid": gap, "min_abs_energy_line": float(np.min(np.abs(energies)))}
 
@@ -425,15 +377,31 @@ def _task_invariants(model, geometry, scans, outdir, label):
     return [path], out
 
 
-def _task_kss(options, outdir):
-    if "data" in options:
-        cd = cofiltration_from_dict(options["data"])
-    else:
-        cd = preset_cofiltration(options["preset"])
-    rep = couple_report(cd)
-    path = outdir / f"kss-{cd.name or 'custom'}.json"
-    _write_json(path, rep)
-    return [path], rep
+# the tasks a `run` config may list, each run on every panel
+RUNNERS = {"spectrum": _task_spectrum, "bands": _task_bands, "invariants": _task_invariants}
+TASKS = tuple(RUNNERS)
+
+
+# ---------------------------------------------------------------------------
+# reports of the `transversal` and `check-symmetry` subcommands
+
+
+def _normalize_transversal(opts) -> dict:
+    """The options of a `transversal` JSON file: seed patterns or a seed set."""
+    if not isinstance(opts, dict):
+        _fail("transversal", "expected an object")
+    if "patterns" in opts:
+        try:
+            dims = {pattern_from_dict(p).dimension for p in opts["patterns"]}
+        except Exception as e:
+            _fail("transversal.patterns", f"not valid patterns ({e})")
+        if len(dims) != 1:
+            _fail("transversal.patterns", "expected a non-empty list of patterns of one dimension")
+        return {"patterns": opts["patterns"]}
+    seeds = opts.get("seeds")
+    if seeds not in ("quarter", "square", "square-3d", "cube"):
+        _fail("transversal.seeds", f"unknown seed set {seeds!r}")
+    return {"seeds": seeds}
 
 
 def _transversal_report(options) -> dict:
@@ -456,33 +424,18 @@ def _transversal_report(options) -> dict:
     }
 
 
-def _task_transversal(options, outdir):
-    rep = _transversal_report(options)
-    path = outdir / f"transversal-{rep['seeds']}.json"
-    _write_json(path, rep)
-    return [path], rep
-
-
-def _symmetry_report(model: HoppingModel, action_name: str) -> dict:
-    action = builtin_action(action_name)
+def _symmetry_report(model: HoppingModel, action: SymmetryAction) -> dict:
     cov_ok, cov_defect = check_covariance(model, action)
     rel_ok, rel_defect = verify_projective_relations(action)
     return {
         "model": model.name,
-        "action": action_name,
+        "action": action.name,
         "covariant": bool(cov_ok),
         "covariance_defect": float(cov_defect),
         "relations_ok": bool(rel_ok),
         "relation_defect": float(rel_defect),
         "group_order": len(action.elements),
     }
-
-
-def _task_symmetry(model, options, outdir, label):
-    rep = _symmetry_report(model, options["action"])
-    path = outdir / f"symmetry-{label}.json"
-    _write_json(path, rep)
-    return [path], rep
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +458,7 @@ def _versions() -> dict:
 
 
 def run_config(cfg: dict, out_dir, scans=None) -> dict:
-    """Execute the task list; write artifacts + manifest.json; return summary.
+    """Run each task on each panel; write artifacts + manifest.json; return summary.
 
     ``scans`` (a `Scans` at the config's solver) keeps the band and gap
     scans for claims that read the same panels."""
@@ -513,33 +466,13 @@ def run_config(cfg: dict, out_dir, scans=None) -> dict:
     outdir = Path(out_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     files, wall, summary = [], {}, {}
-    per_panel = [t for t in cfg["tasks"] if t in ("spectrum", "bands", "invariants")]
-    runners = {"spectrum": _task_spectrum, "bands": _task_bands, "invariants": _task_invariants}
     for task in cfg["tasks"]:
-        t0 = time.perf_counter()
-        if task in per_panel:
-            for label, model, geometry in _panels(cfg):
-                p0 = time.perf_counter()
-                fs, sm = runners[task](model, geometry, scans, outdir, label)
-                files += fs
-                summary[f"{task}:{label}"] = sm
-                wall[f"{task}:{label}"] = round(time.perf_counter() - p0, 3)
-        elif task == "kss":
-            fs, sm = _task_kss(cfg["kss"], outdir)
+        for label, model, geometry in _panels(cfg):
+            t0 = time.perf_counter()
+            fs, sm = RUNNERS[task](model, geometry, scans, outdir, label)
             files += fs
-            summary["kss"] = {"name": sm["name"], "length": sm["length"]}
-            wall["kss"] = round(time.perf_counter() - t0, 3)
-        elif task == "transversal":
-            fs, sm = _task_transversal(cfg["transversal"], outdir)
-            files += fs
-            summary["transversal"] = {k: sm[k] for k in ("classes", "filtration_sizes")}
-            wall["transversal"] = round(time.perf_counter() - t0, 3)
-        elif task == "symmetry-check":
-            for label, model in _model_instances(cfg["model"]):
-                fs, sm = _task_symmetry(model, cfg["symmetry"], outdir, label)
-                files += fs
-                summary[f"symmetry:{label}"] = sm
-            wall["symmetry-check"] = round(time.perf_counter() - t0, 3)
+            summary[f"{task}:{label}"] = sm
+            wall[f"{task}:{label}"] = round(time.perf_counter() - t0, 3)
     manifest = {
         "config_hash": config_hash(cfg),
         "name": cfg.get("name", ""),
@@ -887,9 +820,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transversal", help="pattern classes and filtration sizes")
     p.add_argument("which", help="quarter|square|square-3d|cube or a JSON path")
     p = sub.add_parser("check-symmetry", help="covariance/relations verdict")
-    p.add_argument("model", help=f"one of {', '.join(BUILTIN_MODELS)}")
+    p.add_argument("model", help=f"one of {', '.join(BUILTIN_MODELS)} or a model JSON path")
     p.add_argument("action", help=f"one of {', '.join(BUILTIN_ACTIONS)}")
-    p.add_argument("--gamma", type=float, default=0.5)
+    p.add_argument("--gamma", type=float, default=None, help="gamma of a built-in model (0.5)")
     for p in sub.choices.values():
         p.add_argument("--out", default=None, help="output directory")
     return ap
@@ -981,7 +914,7 @@ def _cmd_transversal(args) -> int:
     if args.which in ("quarter", "square", "square-3d", "cube"):
         options = {"seeds": args.which}
     elif Path(args.which).is_file():
-        options = _normalize_transversal(_load_json(args.which, "transversal"), "transversal")
+        options = _normalize_transversal(_load_json(args.which, "transversal"))
     else:
         _fail("transversal", f"unknown seed set {args.which!r} and no such file")
     rep = _transversal_report(options)
@@ -995,16 +928,31 @@ def _cmd_transversal(args) -> int:
 
 
 def _cmd_check_symmetry(args) -> int:
-    if args.model not in BUILTIN_MODELS:
-        _fail("model", f"unknown model {args.model!r}; have {', '.join(BUILTIN_MODELS)}")
+    if args.model in BUILTIN_MODELS:
+        model = builtin_model(args.model, 0.5 if args.gamma is None else args.gamma)
+    elif Path(args.model).is_file():
+        if args.gamma is not None:
+            _fail("--gamma", "applies to a built-in model name; a model file sets its own")
+        doc = _load_json(args.model, "model")
+        try:
+            model = model_from_dict(doc)
+        except Exception as e:
+            _fail("model", f"not a valid model description in {args.model} ({e})")
+    else:
+        _fail("model", f"unknown model {args.model!r} and no such file; "
+              f"have {', '.join(BUILTIN_MODELS)}")
     if args.action not in BUILTIN_ACTIONS:
         _fail("action", f"unknown action {args.action!r}; have {', '.join(BUILTIN_ACTIONS)}")
-    rep = _symmetry_report(builtin_model(args.model, args.gamma), args.action)
+    action = builtin_action(args.action)
+    if (model.dimension, model.norb) != (action.dimension, action.norb):
+        _fail("action", f"{args.action} acts on {action.dimension}D models with {action.norb} "
+              f"orbitals; {model.name or 'the model'} is {model.dimension}D with {model.norb}")
+    rep = _symmetry_report(model, action)
     print(json.dumps(rep, indent=2, sort_keys=True))
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / f"symmetry-{args.model}-{args.action}.json", rep)
+        _write_json(outdir / f"symmetry-{model.name or 'custom'}-{args.action}.json", rep)
     return 0
 
 

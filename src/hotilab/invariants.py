@@ -50,6 +50,7 @@ EDGE_GAP_FLOOR = 0.05  # edge gap below which corner modes are not isolated
 CORNER_BOX = 4         # side of the corner box that filters kernel modes
 ENERGY_WINDOW = 0.3    # |E| inside which hinge-flow bands are matched
 MIN_OVERLAP = 0.5      # overlap a matched pair needs to count as a crossing
+CHERN_RESOLUTION = 18  # plane grid of the weak-index check in trim_parities
 
 
 def _round_integer(raw: float, what: str) -> int:
@@ -426,18 +427,13 @@ class TrimReport:
         }
 
 
-def trim_parities(
-    model: HoppingModel,
-    parity_operator: np.ndarray,
-    check_weak: bool = True,
-    chern_resolution: int = 18,
-) -> TrimReport:
+def trim_parities(model: HoppingModel, parity_operator: np.ndarray) -> TrimReport:
     """Odd-parity occupied counts at the eight momentum-reversal-invariant
     points, and the mod-4 parity index (total/2 mod 2).
 
     Requires an insulating spectrum at every such point, an even total, and
-    (by default) vanishing Chern numbers on all six invariant planes, without
-    which the index is not well-defined.
+    vanishing Chern numbers (on a CHERN_RESOLUTION^2 grid) on all six
+    invariant planes, without which the index is not well-defined.
     """
     if model.dimension != 3:
         raise ValueError("parity index is for 3d models")
@@ -445,18 +441,15 @@ def trim_parities(
     if np.max(np.abs(u @ u - np.eye(model.norb))) > 1e-9:
         raise ValueError("parity operator must square to one")
     plane_cherns: dict[str, int] = {}
-    if check_weak:
-        for axis in range(3):
-            for value in (0.0, np.pi):
-                c = chern_number_2d(
-                    plane_bloch(model, axis, value), resolution=chern_resolution
+    for axis in range(3):
+        for value in (0.0, np.pi):
+            c = chern_number_2d(plane_bloch(model, axis, value), resolution=CHERN_RESOLUTION)
+            plane_cherns[f"axis{axis}@{value:.3f}"] = c
+            if c != 0:
+                raise RuntimeError(
+                    f"invariant plane axis{axis}={value:.2f} carries "
+                    f"chern number {c}; parity index undefined"
                 )
-                plane_cherns[f"axis{axis}@{value:.3f}"] = c
-                if c != 0:
-                    raise RuntimeError(
-                        f"invariant plane axis{axis}={value:.2f} carries "
-                        f"chern number {c}; parity index undefined"
-                    )
     per_point: dict[tuple[float, ...], int] = {}
     for point in product((0.0, np.pi), repeat=3):
         h = model.bloch(point)

@@ -244,7 +244,7 @@ def test_inversion_cube_modes_vertical_column_level(scans):
 def test_inversion_parity_index_and_stability():
     t0 = time.perf_counter()
     parity_op = np.kron(s0, s3)
-    rep = trim_parities(builtin_model("ham1", 0.5), parity_op, chern_resolution=12)
+    rep = trim_parities(builtin_model("ham1", 0.5), parity_op)
     ok = report(
         "parity index: inversion model carries the nontrivial index",
         rep.cs_parity == 1, f"odd-count total {rep.total}",
@@ -252,13 +252,13 @@ def test_inversion_parity_index_and_stability():
     atom = HoppingModel(
         dimension=3, norb=4, hoppings={(0, 0, 0): parity_op.astype(complex)}
     )
-    rep_a = trim_parities(atom, parity_op, check_weak=False)
+    rep_a = trim_parities(atom, parity_op)
     ok &= report("parity index: atomic reference is trivial", rep_a.cs_parity == 0)
     stacked = _direct_sum(builtin_model("ham1", 0.5), atom)
     par8 = np.zeros((8, 8), dtype=complex)
     par8[:4, :4] = parity_op
     par8[4:, 4:] = parity_op
-    rep_s = trim_parities(stacked, par8, check_weak=False)
+    rep_s = trim_parities(stacked, par8)
     ok &= report(
         "parity index: unchanged under stacking with the atomic reference",
         rep_s.cs_parity == rep.cs_parity, f"stacked total {rep_s.total}",

@@ -29,6 +29,7 @@ from hotilab.cli import (
     validate_config,
 )
 from hotilab.invariants import CornerReport, HingeReport
+from hotilab.ktheory import PRESET_NAMES
 from hotilab.models import builtin_model, cube_geometry, instantiate, slab_geometry
 from hotilab.spectral import slab_bloch
 
@@ -60,6 +61,7 @@ def test_unknown_task_reports_indexed_path():
     with pytest.raises(ConfigError) as err:
         validate_config(tiny_config(tasks=["bands", "dance"]))
     assert err.value.errors[0][0] == "tasks[1]"
+    assert cli.TASKS == tuple(cli.RUNNERS) == ("spectrum", "bands", "invariants")
 
 
 def test_bad_solver_option_and_geometry_kind():
@@ -72,15 +74,6 @@ def test_bad_solver_option_and_geometry_kind():
     with pytest.raises(ConfigError) as err:  # the router's cutoff is no option
         validate_config(tiny_config(solver={"dense_cutoff": 64}))
     assert err.value.errors[0][0] == "solver.dense_cutoff"
-
-
-def test_task_options_are_validated():
-    with pytest.raises(ConfigError) as err:
-        validate_config(tiny_config(tasks=["kss"], kss={"preset": "nope"}))
-    assert err.value.errors[0][0] == "kss.preset"
-    with pytest.raises(ConfigError) as err:
-        validate_config(tiny_config(tasks=["symmetry-check"], symmetry={"action": "Q8"}))
-    assert err.value.errors[0][0] == "symmetry.action"
 
 
 def test_scalar_gamma_and_single_geometry_accepted():
@@ -263,19 +256,26 @@ def test_main_validation_failure_exit_two(tmp_path, capsys):
      "transversal.patterns"),
     (["kss", "{path}"], b"{not json", "kss"),
     (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["bands"], "solver": [1]}', "solver"),
-    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["kss"], "kss": [1]}', "kss"),
-    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["symmetry-check"], "symmetry": [1]}',
-     "symmetry"),
+    # the report subcommands are the only way to their reports
+    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["kss"], '
+     b'"kss": {"preset": "square-inversion"}}', "tasks[0]"),
     (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["spectrum"], '
      b'"geometry": {"kind": "slab", "direction": 3}}', "geometry[0].direction"),
     (["run", "{path}"], b'{"model": {"name": "chiral-quarter-uC"}, "tasks": ["bands"], '
      b'"geometry": [{"kind": "slab-yz"}, {"kind": "slab-xy"}]}', "geometry[1].kind"),
     (["run", "{path}"], b'{"model": {"name": "chiral-quarter-uC"}, "tasks": ["spectrum"], '
      b'"geometry": {"kind": "cube"}}', "geometry[0].kind"),
+    (["check-symmetry", "{path}", "C4T"], b'{"model": "ham9"}', "model"),
+    (["check-symmetry", "{path}", "C4T"], b'{"dimension": 3}', "model"),
+    (["check-symmetry", "{path}", "C4T", "--gamma", "0"], b'{"model": "ham3"}', "--gamma"),
+    (["check-symmetry", "ham1", "chiral"], b"", "action"),
+    (["check-symmetry", "chiral-quarter-uC", "inversion"], b"", "action"),
 ], ids=[
     "run-directory", "run-not-utf8", "transversal-list", "transversal-no-patterns",
-    "transversal-mixed-dimensions", "kss-not-json", "solver-list", "kss-list", "symmetry-list",
+    "transversal-mixed-dimensions", "kss-not-json", "solver-list", "kss-task",
     "slab-direction-beyond-model", "slab-xy-of-2d-model", "cube-of-2d-model",
+    "model-unknown-name", "model-no-hoppings", "model-file-and-gamma", "3d-model-2d-action",
+    "2d-model-3d-action",
 ])
 def test_malformed_input_exit_two(tmp_path, capsys, argv, content, field):
     path = tmp_path / "input"
@@ -427,6 +427,61 @@ def test_check_symmetry_subcommand(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert not rep["covariant"]  # gamma term breaks bare time reversal
     assert main(["check-symmetry", "ham1", "Q8"]) == 2
+
+
+@pytest.mark.parametrize("doc, argv", [
+    ({"model": "ham3", "gamma": 0.5}, ["ham3", "C4T"]),
+    ({"model": "ham1", "gamma": 0.0}, ["ham1", "inversion", "--gamma", "0"]),
+], ids=["ham3", "ham1-g0"])
+def test_check_symmetry_reads_a_model_file(tmp_path, capsys, doc, argv):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check-symmetry", *argv]) == 0
+    builtin = capsys.readouterr().out
+    assert main(["check-symmetry", str(path), argv[1], "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out == builtin
+    assert (tmp_path / "out" / f"symmetry-{argv[0]}-{argv[1]}.json").read_text() == builtin
+
+
+def test_check_symmetry_names_an_unnamed_model_custom(tmp_path, capsys):
+    # the atomic insulator: onsite s0 x s3 = diag(1, -1, 1, -1), the inversion matrix
+    signs = (1.0, -1.0, 1.0, -1.0)
+    onsite = [[[s if i == j else 0.0, 0.0] for j in range(4)] for i, s in enumerate(signs)]
+    path = tmp_path / "atomic.json"
+    path.write_text(json.dumps({
+        "dimension": 3, "norb": 4, "hoppings": [{"delta": [0, 0, 0], "matrix": onsite}],
+    }))
+    assert main(["check-symmetry", str(path), "inversion", "--out", str(tmp_path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["covariant"] and rep["model"] == ""
+    assert json.loads((tmp_path / "symmetry-custom-inversion.json").read_text()) == rep
+
+
+# every built-in report through its only door: the --out file is the
+# printed JSON (kss, check-symmetry) or the full report behind it (transversal)
+REPORT_COMMANDS = [
+    *(["kss", p] for p in PRESET_NAMES),
+    *(["check-symmetry", m, a] for m in ("ham1", "ham2", "ham3")
+      for a in ("inversion", "C2T", "C4T", "T")),
+    *(["check-symmetry", m, a] for m in ("chiral-quarter-uC", "chiral-quarter-uF")
+      for a in ("chiral", "mirror-diagonal")),
+]
+
+
+@pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=["-".join(a) for a in REPORT_COMMANDS])
+def test_report_file_is_the_printed_json(tmp_path, capsys, argv):
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    written, = tmp_path.iterdir()
+    assert written.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds", ["quarter", "square", "square-3d", "cube"])
+def test_transversal_file_is_the_full_report(tmp_path, capsys, seeds):
+    assert main(["transversal", seeds, "--out", str(tmp_path)]) == 0
+    brief = json.loads(capsys.readouterr().out)
+    full = json.loads((tmp_path / f"transversal-{seeds}.json").read_text())
+    assert {k: full[k] for k in brief} == brief
+    assert set(full) == {*brief, "patterns"} and len(full["patterns"]) == full["classes"]
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ def test_hinge_flow_warns_when_no_band_crosses_zero():
 
 
 def test_trim_parities_ham1():
-    rep = trim_parities(builtin_model("ham1"), np.kron(s0, s3), chern_resolution=12)
+    rep = trim_parities(builtin_model("ham1"), np.kron(s0, s3))
     assert rep.per_point[(0.0, 0.0, 0.0)] == 2
     assert rep.per_point[(np.pi, np.pi, np.pi)] == 0
     assert rep.total == 14
@@ -239,7 +239,7 @@ def atomic_model():
 
 
 def test_trim_parities_atomic_model():
-    rep = trim_parities(atomic_model(), np.kron(s0, s3), check_weak=False)
+    rep = trim_parities(atomic_model(), np.kron(s0, s3))
     assert rep.total == 16
     assert rep.cs_parity == 0
 
@@ -258,7 +258,7 @@ def test_trim_parity_stable_under_trivial_bands():
     par = np.zeros((8, 8), dtype=complex)
     par[:4, :4] = np.kron(s0, s3)
     par[4:, 4:] = np.kron(s0, s3)
-    rep = trim_parities(stacked, par, check_weak=False)
+    rep = trim_parities(stacked, par)
     assert rep.total == 30
     assert rep.cs_parity == 1
 
