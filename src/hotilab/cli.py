@@ -65,6 +65,7 @@ from .models import (
     wire_geometry,
 )
 from .patterns import (
+    BUILTIN_SEEDS,
     builtin_seeds,
     codimension_filtration,
     global_transversal,
@@ -399,7 +400,7 @@ def _normalize_transversal(opts) -> dict:
             _fail("transversal.patterns", "expected a non-empty list of patterns of one dimension")
         return {"patterns": opts["patterns"]}
     seeds = opts.get("seeds")
-    if seeds not in ("quarter", "square", "square-3d", "cube"):
+    if seeds not in BUILTIN_SEEDS:
         _fail("transversal.seeds", f"unknown seed set {seeds!r}")
     return {"seeds": seeds}
 
@@ -818,7 +819,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kss", help="exact-couple report for a preset or JSON file")
     p.add_argument("which", help=f"one of {', '.join(PRESET_NAMES)} or a JSON path")
     p = sub.add_parser("transversal", help="pattern classes and filtration sizes")
-    p.add_argument("which", help="quarter|square|square-3d|cube or a JSON path")
+    p.add_argument("which", help=f"{'|'.join(BUILTIN_SEEDS)} or a JSON path")
     p = sub.add_parser("check-symmetry", help="covariance/relations verdict")
     p.add_argument("model", help=f"one of {', '.join(BUILTIN_MODELS)} or a model JSON path")
     p.add_argument("action", help=f"one of {', '.join(BUILTIN_ACTIONS)}")
@@ -911,7 +912,7 @@ def _cmd_kss(args) -> int:
 
 
 def _cmd_transversal(args) -> int:
-    if args.which in ("quarter", "square", "square-3d", "cube"):
+    if args.which in BUILTIN_SEEDS:
         options = {"seeds": args.which}
     elif Path(args.which).is_file():
         options = _normalize_transversal(_load_json(args.which, "transversal"))

@@ -43,6 +43,7 @@ __all__ = [
     "square_seeds",
     "cube_seeds",
     "builtin_seeds",
+    "BUILTIN_SEEDS",
     "pattern_to_dict",
     "pattern_from_dict",
 ]
@@ -214,16 +215,14 @@ def cube_seeds() -> list[Pattern]:
     return seeds
 
 
+BUILTIN_SEEDS = ("quarter", "square", "square-3d", "cube")
+
+
 def builtin_seeds(name: str) -> list[Pattern]:
-    table = {
-        "quarter": [quarter_pattern(2)],
-        "square": square_seeds(2),
-        "square-3d": square_seeds(3),
-        "cube": cube_seeds(),
-    }
-    if name not in table:
-        raise KeyError(f"unknown builtin pattern {name!r}; have {sorted(table)}")
-    return table[name]
+    if name not in BUILTIN_SEEDS:
+        raise KeyError(f"unknown builtin pattern {name!r}; have {sorted(BUILTIN_SEEDS)}")
+    return {"quarter": [quarter_pattern(2)], "square": square_seeds(2),
+            "square-3d": square_seeds(3), "cube": cube_seeds()}[name]
 
 
 # ---------------------------------------------------------------------------

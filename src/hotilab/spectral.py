@@ -8,26 +8,26 @@ that is freed before a Ritz step on the orthonormalized result, with a
 seeded start vector.  ``near_zero_states`` alone chooses between them,
 on the matrix size: dense up to ``DENSE_CUTOFF`` (a module constant, not
 an option of any caller or config), sparse above it; both share one
-window pick and one residual check.  Band scans build a
-model's assembly once and evaluate it per momentum, and attach per-region
-spatial weights (regions are masks on the geometry's site array),
-disentangling degenerate clusters so weights are stable under basis
-ambiguity.  Gap scans (slabs, edges, the bulk) run one dense ``eigvalsh``
-loop, ``dense_spectra``, over a Bloch callable.
+window pick and one residual check.  Band scans build a model's assembly
+once and evaluate it per momentum, and attach per-region spatial weights
+(regions are masks on the geometry's site array), disentangling
+degenerate clusters so weights are stable under basis ambiguity.  Gap
+scans (slabs, edges, the bulk) run one dense ``eigvalsh`` loop,
+``dense_spectra``, over a Bloch callable at one momentum per orbit of the
+k-maps of ``symmetry.covariant_elements``, each map spot-checked once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from math import ceil
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .models import Assembly, Geometry, HoppingModel, slab_geometry
-from .symmetry import momentum_reversal
+from .models import Assembly, Geometry, HoppingModel, bulk_geometry, slab_geometry
+from .symmetry import covariant_elements, momentum_reversal
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -357,13 +357,28 @@ def dense_spectra(bloch, momenta):
     return (np.linalg.eigvalsh(bloch(k)) for k in momenta)
 
 
-def _grid(nk: int, m: int):
-    """The nk^m momenta of a uniform grid on [-pi, pi)^m, last axis fastest."""
-    return product(np.linspace(-np.pi, np.pi, nk, endpoint=False), repeat=m)
-
-
-def _min_abs(spectra) -> float:
-    return min(float(np.min(np.abs(vals))) for vals in spectra)
+def _orbit_gap(bloch, nk: int, m: int, elements) -> float:
+    """min |E| of ``bloch`` on the nk^m grid of [-pi, pi)^m (last axis fastest)
+    at the first point of each orbit of the elements' k-maps M, which map
+    grid index j to M j mod nk exactly.  Spot check once per map that moves
+    the grid, at a seeded random k: the spectrum at M k must be the one at k
+    (negated for chiral elements) within 1e-12 * bound, or this raises."""
+    index = np.indices((nk,) * m).reshape(m, -1).T
+    points = np.linspace(-np.pi, np.pi, nk, endpoint=False)[index]
+    rng, images = np.random.default_rng(0), [np.arange(len(points))]  # the identity first
+    for el in elements:
+        image = (index @ el.k_map.T % nk) @ nk ** np.arange(m - 1, -1, -1)
+        if np.any(image != images[0]):
+            k = rng.uniform(-np.pi, np.pi, m)
+            at_k, at_mk = dense_spectra(bloch, [k, el.k_map @ k])
+            defect = np.max(np.abs(at_mk - (-at_k[::-1] if el.chiral else at_k)))
+            if defect > 1e-12 * spectral_norm_bound(bloch(k)):
+                raise RuntimeError(f"{el.label} does not map the spectrum at k={k.tolist()} onto M k")
+            images.append(image)
+    low, last = images[0], None  # low[j]: the lowest grid index reached from j so far
+    while not np.array_equal(low, last):
+        low, last = np.minimum.reduce([low[image] for image in images]), low
+    return min(float(np.min(np.abs(v))) for v in dense_spectra(bloch, points[low == images[0]]))
 
 
 def slab_bloch(model: HoppingModel, direction: int, depth: int):
@@ -382,14 +397,17 @@ def slab_bloch(model: HoppingModel, direction: int, depth: int):
 
 def slab_gap_scan(model: HoppingModel, direction: int, depth: int, nk: int) -> float:
     """min |E| of a slab open along ``direction`` over an nk^m grid of its
-    m periodic directions (the faces of a 3D model, the edges of a 2D one)."""
-    h = slab_bloch(model, direction, depth)
-    return _min_abs(dense_spectra(h, _grid(nk, model.dimension - 1)))
+    m periodic directions (the faces of a 3D model, the edges of a 2D one),
+    at one momentum per orbit of its covariant k-maps, spot-checked."""
+    elements = covariant_elements(model, slab_geometry(model.dimension, direction, depth))
+    return _orbit_gap(slab_bloch(model, direction, depth), nk, model.dimension - 1, elements)
 
 
 def minimum_bulk_gap(model: HoppingModel, resolution: int = 21) -> float:
-    """Min |E| of the Bloch spectrum over a uniform momentum grid."""
-    return _min_abs(dense_spectra(model.bloch, _grid(resolution, model.dimension)))
+    """Min |E| of the Bloch spectrum over a uniform momentum grid, at one
+    momentum per orbit of every covariant element's k-map, spot-checked."""
+    elements = covariant_elements(model, bulk_geometry(model.dimension))
+    return _orbit_gap(model.bloch, resolution, model.dimension, elements)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ projective relations like (C4.T)^4 = -1 are facts about matrices, not inputs.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ __all__ = [
     "builtin_action",
     "BUILTIN_ACTIONS",
     "check_covariance",
+    "CovariantElement",
+    "covariant_elements",
     "MomentumReversal",
     "momentum_reversal",
     "symmetrize",
@@ -200,17 +203,18 @@ def check_covariance(
 
 
 @dataclass(frozen=True)
-class MomentumReversal:
-    """The map psi -> P U conj^anti(psi) that carries eigenvectors of a
-    geometry's H(k) onto eigenvectors of H(-k) with the same energies.
-
-    P moves site s to site ``site_perm[s]``; U acts on each site's orbitals.
-    """
+class CovariantElement:
+    """One symmetry element on a geometry: psi -> P U conj^anti(psi), with P
+    moving site s to ``site_perm[s]`` and U acting on each site's orbitals,
+    carries eigenvectors of H(k) onto eigenvectors of H(k_map @ k), with the
+    same energies, or negated ones when ``chiral``."""
 
     label: str  # "<action>:<element>"
     site_perm: np.ndarray
     unitary: np.ndarray
     antiunitary: bool
+    k_map: np.ndarray | None = None
+    chiral: bool = False
 
     def apply(self, vecs: np.ndarray) -> np.ndarray:
         """Image of the columns of ``vecs`` (site-major, orbital-minor)."""
@@ -220,37 +224,28 @@ class MomentumReversal:
         return out.reshape(vecs.shape)
 
 
-def momentum_reversal(
-    model: HoppingModel, geometry: Geometry
-) -> MomentumReversal | None:
-    """First built-in symmetry element mapping H(k) onto H(-k) on
-    ``geometry``, or None.
+MomentumReversal = CovariantElement  # its name when it served momentum_reversal alone
 
-    With (O psi)(S x + t) = U_g conj^phi(g)(psi(x)), covariance gives
-    O H(k) O^-1 = (-1)^c(g) H((-1)^phi(g) S_pp k) when S keeps open and
-    periodic directions apart and x -> S x + t maps the sites onto
-    themselves.  So g is taken when its action passes ``check_covariance``,
-    g is not chiral, (-1)^phi(g) S_pp = -1 and it maps the box onto itself.
-    """
+
+def covariant_elements(model: HoppingModel, geometry: Geometry) -> Iterator[CovariantElement]:
+    """Yield each element g (in ``BUILTIN_ACTIONS`` and element order) of each
+    built-in action that passes ``check_covariance`` on ``model``, when S_g
+    keeps open and periodic directions apart and x -> S_g x + t maps the
+    open box onto the sites of ``geometry`` (a bulk has one site).  With
+    (O psi)(S x + t) = U_g conj^phi(g)(psi(x)), covariance then gives
+    O H(k) O^-1 = (-1)^c(g) H(k_map @ k) with k_map = (-1)^phi(g) S_pp."""
     opens, periodic = list(geometry.open_dirs), list(geometry.periodic_dirs)
     shape, strides, lookup = geometry.box_lookup()
     sites = geometry.site_array()[:, opens]
     for name in BUILTIN_ACTIONS:
         action = builtin_action(name)
-        if (action.dimension, action.norb) != (model.dimension, model.norb):
-            continue
-        if not check_covariance(model, action)[0]:
+        fits = (action.dimension, action.norb) == (model.dimension, model.norb)
+        if not fits or not check_covariance(model, action)[0]:
             continue
         for g in action.elements:
             s = np.array(action.spatial[g].matrix, dtype=np.int64)
             s_open = s[np.ix_(opens, opens)]
-            reverse = (-1 if action.antiunitary[g] else 1) * s[np.ix_(periodic, periodic)]
-            if (
-                action.chirality[g]
-                or s[np.ix_(opens, periodic)].any()
-                or s[np.ix_(periodic, opens)].any()
-                or not np.array_equal(reverse, -np.eye(len(periodic), dtype=np.int64))
-            ):
+            if s[np.ix_(opens, periodic)].any() or s[np.ix_(periodic, opens)].any():
                 continue
             # shift the image box back so that its lowest corner is the origin
             image = sites @ s_open.T - np.minimum(s_open, 0) @ (shape - 1)
@@ -259,10 +254,16 @@ def momentum_reversal(
             perm = lookup[image @ strides]
             if np.any(perm < 0):
                 continue
-            return MomentumReversal(
-                f"{name}:{g}", perm, action.unitaries[g], bool(action.antiunitary[g])
-            )
-    return None
+            k_map = (-1 if action.antiunitary[g] else 1) * s[np.ix_(periodic, periodic)]
+            yield CovariantElement(f"{name}:{g}", perm, action.unitaries[g],
+                                   bool(action.antiunitary[g]), k_map, bool(action.chirality[g]))
+
+
+def momentum_reversal(model: HoppingModel, geometry: Geometry) -> CovariantElement | None:
+    """The first non-chiral element of ``covariant_elements`` whose k-map
+    is -1, so that it maps H(k) onto H(-k) with the same energies; or None."""
+    return next((el for el in covariant_elements(model, geometry)
+                 if not el.chiral and np.array_equal(el.k_map, -np.eye(len(el.k_map)))), None)
 
 
 def symmetrize(model: HoppingModel, action: SymmetryAction) -> HoppingModel:

@@ -31,6 +31,7 @@ from hotilab.cli import (
 from hotilab.invariants import CornerReport, HingeReport
 from hotilab.ktheory import PRESET_NAMES
 from hotilab.models import builtin_model, cube_geometry, instantiate, slab_geometry
+from hotilab.patterns import BUILTIN_SEEDS
 from hotilab.spectral import slab_bloch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -482,6 +483,27 @@ def test_transversal_file_is_the_full_report(tmp_path, capsys, seeds):
     full = json.loads((tmp_path / f"transversal-{seeds}.json").read_text())
     assert {k: full[k] for k in brief} == brief
     assert set(full) == {*brief, "patterns"} and len(full["patterns"]) == full["classes"]
+
+
+@pytest.mark.parametrize("seeds", BUILTIN_SEEDS)
+def test_transversal_accepts_every_builtin_seed_set(tmp_path, capsys, seeds):
+    # by name on the command line, and as "seeds" in a JSON file
+    assert main(["transversal", seeds]) == 0
+    printed = capsys.readouterr().out
+    assert json.loads(printed)["seeds"] == seeds
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps({"seeds": seeds}))
+    assert main(["transversal", str(path)]) == 0
+    assert capsys.readouterr().out == printed
+
+
+def test_transversal_rejects_an_unknown_seed_set(tmp_path, capsys):
+    assert main(["transversal", "hexagon"]) == 2
+    assert "config error at transversal:" in capsys.readouterr().err
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps({"seeds": "hexagon"}))
+    assert main(["transversal", str(path)]) == 2
+    assert "config error at transversal.seeds:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

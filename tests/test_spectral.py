@@ -1,6 +1,7 @@
 """Eigensolver routes, region weights, band scans, gap scans."""
 
 import importlib.util
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -14,12 +15,14 @@ from hotilab.models import (
     Assembly,
     HoppingModel,
     builtin_model,
+    bulk_geometry,
     cube_geometry,
     instantiate,
     quarter_geometry,
     slab_geometry,
     wire_geometry,
 )
+from hotilab.symmetry import covariant_elements
 from hotilab.spectral import (
     BandData,
     band_structure,
@@ -363,3 +366,107 @@ def test_gap_scans_match_per_momentum_reference():
             assert abs(slab_gap_scan(model, direction, 5, nk) - low) <= tol
         low, tol = low_and_tol([model.bloch(k) for k in product(axis, repeat=model.dimension)])
         assert abs(minimum_bulk_gap(model, resolution=nk) - low) <= tol
+
+
+def _record_gap_scan(monkeypatch, scan):
+    """The gap ``scan()`` returns and the momenta of each ``dense_spectra``
+    call it makes (spot checks first, two momenta each, then the scan)."""
+    calls = []
+    solve = spectral.dense_spectra
+
+    def recording(bloch, momenta):
+        calls.append(np.array(momenta))
+        return solve(bloch, momenta)
+
+    monkeypatch.setattr(spectral, "dense_spectra", recording)
+    return scan(), calls
+
+
+def _assert_one_momentum_per_orbit(solved, nk, k_maps):
+    """``solved`` holds, in grid order, the first point of each orbit that
+    the group generated by ``k_maps`` has on the nk^m grid of [-pi, pi)^m."""
+    m = solved.shape[1]
+    axis = np.linspace(-np.pi, np.pi, nk, endpoint=False)
+    index = np.rint((solved + np.pi) * nk / (2 * np.pi)).astype(np.int64)
+    assert np.array_equal(axis[index], solved)  # the grid's own float momenta
+    strides = nk ** np.arange(m - 1, -1, -1)
+    flat = index @ strides
+    assert np.all(np.diff(flat) > 0)
+    group = {np.eye(m, dtype=np.int64).tobytes()} | {np.asarray(g, np.int64).tobytes() for g in k_maps}
+    while True:  # close the k-maps under products
+        mats = [np.frombuffer(g, dtype=np.int64).reshape(m, m) for g in group]
+        products = {(a @ b).tobytes() for a in mats for b in mats}
+        if products <= group:
+            break
+        group |= products
+    images = np.sort(np.array([(index @ g.T % nk) @ strides for g in mats]), axis=0)
+    # each representative is the first grid point of its orbit, and every
+    # grid point is the image of exactly one representative
+    assert np.array_equal(images[0], flat)
+    distinct = np.vstack([np.ones_like(flat, dtype=bool), images[1:] != images[:-1]])
+    assert np.array_equal(np.bincount(images[distinct], minlength=nk ** m), np.ones(nk ** m))
+    return len(mats)
+
+
+# (model, gamma, open direction, nk, orbits): the seven faces of the
+# slab-gap-scan benchmark on its 12 x 12 grid, then the tier-1 grid
+ORBIT_COUNTS = [
+    ("ham2", 0.5, 0, 12, 84), ("ham2", 0.5, 1, 12, 84), ("ham2", 0.5, 2, 12, 144),
+    ("ham1", 0.5, 0, 12, 74), ("ham1", 0.5, 2, 12, 74),
+    ("ham1", 0.0, 0, 12, 74), ("ham1", 0.0, 2, 12, 74),
+    ("ham1", 0.5, 0, 101, 5101), ("ham2", 0.5, 0, 101, 5151),
+    ("ham3", 0.5, 2, 101, 2551), ("ham2", 0.5, 2, 101, 10201),
+]
+
+
+@pytest.mark.parametrize("mname, gamma, direction, nk, orbits", ORBIT_COUNTS)
+def test_slab_gap_scan_solves_one_momentum_per_orbit(monkeypatch, mname, gamma, direction, nk, orbits):
+    model = builtin_model(mname, gamma)
+    depth = 3
+    gap, calls = _record_gap_scan(monkeypatch, lambda: slab_gap_scan(model, direction, depth, nk))
+    assert len(calls[-1]) == orbits and all(len(c) == 2 for c in calls[:-1])
+    elements = covariant_elements(model, slab_geometry(3, direction, depth))
+    _assert_one_momentum_per_orbit(calls[-1], nk, [el.k_map for el in elements])
+    h = spectral.slab_bloch(model, direction, depth)
+    mats = [h(k) for k in product(np.linspace(-np.pi, np.pi, nk, endpoint=False), repeat=2)]
+    low = min(float(np.min(np.abs(np.linalg.eigvalsh(m)))) for m in mats)
+    assert abs(gap - low) <= 1e-12 * max(spectral_norm_bound(m) for m in mats)
+
+
+def test_bulk_gap_scan_solves_one_momentum_per_orbit(monkeypatch):
+    # C4T's four k-maps on a 9^3 grid; the scan matches the full grid
+    model = builtin_model("ham3")
+    gap, calls = _record_gap_scan(monkeypatch, lambda: minimum_bulk_gap(model, resolution=9))
+    elements = covariant_elements(model, bulk_geometry(3))
+    assert _assert_one_momentum_per_orbit(calls[-1], 9, [el.k_map for el in elements]) == 4
+    mats = [model.bloch(k) for k in product(np.linspace(-np.pi, np.pi, 9, endpoint=False), repeat=3)]
+    low = min(float(np.min(np.abs(np.linalg.eigvalsh(m)))) for m in mats)
+    assert abs(gap - low) <= 1e-12 * max(spectral_norm_bound(m) for m in mats)
+
+
+def test_gap_scan_rejects_a_wrong_k_map(monkeypatch):
+    # C2T on the ham2 yz slab reverses k_z; a finder that has it swap k_y
+    # and k_z instead must trip the spot check
+    model = builtin_model("ham2")
+    true = list(covariant_elements(model, slab_geometry(3, 0, 4)))
+    assert [el.k_map.tolist() for el in true] == [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]
+    wrong = [true[0], replace(true[1], k_map=np.array([[0, 1], [1, 0]]))]
+    monkeypatch.setattr(spectral, "covariant_elements", lambda *args: wrong)
+    with pytest.raises(RuntimeError, match="does not map the spectrum"):
+        slab_gap_scan(model, 0, 4, 12)
+
+
+def test_gap_scans_without_covariant_elements_solve_every_momentum(monkeypatch):
+    # the seeded symmetry-broken model of the band-scan fallback test
+    base = builtin_model("ham1")
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    hops = dict(base.hoppings)
+    hops[(0, 0, 0)] = hops[(0, 0, 0)] + 0.05 * (a + a.conj().T)
+    broken = HoppingModel(3, 4, hops)
+    assert list(covariant_elements(broken, bulk_geometry(3))) == []
+    for direction in range(3):
+        _, calls = _record_gap_scan(monkeypatch, lambda: slab_gap_scan(broken, direction, 4, 7))
+        assert [len(c) for c in calls] == [49]
+    _, calls = _record_gap_scan(monkeypatch, lambda: minimum_bulk_gap(broken, resolution=5))
+    assert [len(c) for c in calls] == [125]

@@ -3,13 +3,21 @@
 import numpy as np
 import pytest
 
-from hotilab.models import Assembly, HoppingModel, builtin_model, wire_geometry
+from hotilab.models import (
+    Assembly,
+    HoppingModel,
+    builtin_model,
+    bulk_geometry,
+    slab_geometry,
+    wire_geometry,
+)
 from hotilab.patterns import PointGroupElement
 from hotilab.symmetry import (
     BUILTIN_ACTIONS,
     SymmetryAction,
     builtin_action,
     check_covariance,
+    covariant_elements,
     momentum_reversal,
     symmetrize,
     verify_projective_relations,
@@ -153,3 +161,67 @@ def test_momentum_reversal_maps_eigenpairs_to_minus_k(mname, label):
         mapped = rev.apply(vecs)
         bound = np.max(abs(h).sum(axis=1))
         assert np.max(np.abs(h @ mapped - mapped * vals)) <= 1e-12 * bound
+
+
+# the panels of the gap scans: slabs of the 3D models (open along x, y, z),
+# edges of the 2D chiral models, and every bulk (direction None)
+GAP_PANELS = [
+    (m, g, d) for m in ("ham1", "ham2", "ham3") for g in (0.5, 0.0) for d in (0, 1, 2, None)
+] + [(m, 0.5, d) for m in ("chiral-quarter-uC", "chiral-quarter-uF") for d in (0, 1, None)]
+
+
+@pytest.mark.parametrize("mname, gamma, direction", GAP_PANELS)
+def test_every_covariant_element_maps_k_to_its_k_map(mname, gamma, direction):
+    model = builtin_model(mname, gamma)
+    if direction is None:
+        geo, h = bulk_geometry(model.dimension), model.bloch
+    else:
+        geo = slab_geometry(model.dimension, direction, 4)
+        asm = Assembly(model, geo)
+
+        def h(k):
+            return asm.matrix(k).toarray()
+    elements = list(covariant_elements(model, geo))
+    assert elements  # every built-in model is covariant under a built-in action
+    rng = np.random.default_rng(11)
+    for el in elements:
+        assert sorted(el.site_perm) == list(range(len(el.site_perm)))
+        assert sorted(np.abs(el.k_map).sum(axis=0)) == [1] * len(el.k_map)  # signed permutation
+        for k in rng.uniform(-np.pi, np.pi, size=(2, len(el.k_map))):
+            vals, vecs = np.linalg.eigh(h(k))
+            hm = h(el.k_map @ k)
+            sign = -1 if el.chiral else 1
+            bound = np.max(np.abs(hm).sum(axis=1))
+            # the spectrum at k_map k is the one at k, negated for chiral elements
+            assert np.max(np.abs(np.linalg.eigvalsh(hm) - np.sort(sign * vals))) <= 1e-12 * bound
+            # and the element carries each eigenvector along
+            mapped = el.apply(vecs)
+            assert np.max(np.abs(hm @ mapped - mapped * (sign * vals))) <= 1e-12 * bound
+
+
+# momentum_reversal's pick per built-in model: on a side-6 wire (3D models
+# only), then on slabs open along each direction in turn
+REVERSAL_LABELS = {
+    ("ham1", 0.5): ("inversion:g", "inversion:g", "inversion:g", "inversion:g"),
+    ("ham1", 0.0): ("inversion:g", "inversion:g", "inversion:g", "inversion:g"),
+    ("ham2", 0.5): ("C2T:g", None, None, None),
+    ("ham2", 0.0): ("C2T:g", "T:g", "T:g", "C4T:g^2"),
+    ("ham3", 0.5): ("C4T:g", None, None, "C4T:g^2"),
+    ("ham3", 0.0): ("C2T:g", "T:g", "T:g", "C4T:g^2"),
+    ("chiral-quarter-uC", 0.5): (None, None),
+    ("chiral-quarter-uF", 0.5): (None, None),
+}
+
+
+@pytest.mark.parametrize("mname, gamma", list(REVERSAL_LABELS))
+def test_momentum_reversal_is_the_first_reversing_covariant_element(mname, gamma):
+    model = builtin_model(mname, gamma)
+    geos = [wire_geometry(3, 6)] if model.dimension == 3 else []
+    geos += [slab_geometry(model.dimension, d, 4) for d in range(model.dimension)]
+    labels = []
+    for geo in geos:
+        rev = momentum_reversal(model, geo)
+        labels.append(None if rev is None else rev.label)
+        if rev is not None:
+            assert not rev.chiral and np.array_equal(rev.k_map, -np.eye(len(geo.periodic_dirs)))
+    assert tuple(labels) == REVERSAL_LABELS[(mname, gamma)]
