@@ -6,11 +6,17 @@ A group is presented as Z^n modulo the column span of a relation matrix;
 subgroups of a presented group are integer lattices between the relation
 lattice and Z^n, canonicalized by a column Hermite form.  Smith normal form
 returns the full transform pair (U, D, V) with U M V = D exactly.
+
+Each group factors its relations once, on first use, and membership
+(``is_zero``, for a vector or every column of a matrix) reads U x modulo
+that Smith diagonal.  A subquotient's group carries labels written in the
+ambient group's generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -252,10 +258,7 @@ def lattice_sum(a, b) -> np.ndarray:
 
 def lattice_contains(lat, x) -> bool:
     lat = _as_imat(lat)
-    if lat.shape[1] == 0:
-        xx = _as_imat(x)
-        return bool(np.all(xx == 0))
-    return solve_integer(lat, x) is not None
+    return FGAbelianGroup(lat.shape[0], lat).is_zero(x)
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +280,10 @@ class FGAbelianGroup:
         object.__setattr__(self, "relations", rel)
         if self.labels is not None and len(self.labels) != self.ngens:
             raise ValueError("need one label per generator")
-        u, d, v = smith_normal_form(rel)
-        object.__setattr__(self, "_snf", (u, d, v))
+
+    @cached_property
+    def _snf(self):
+        return smith_normal_form(self.relations)
 
     # -- structure ---------------------------------------------------------
     @property
@@ -298,24 +303,29 @@ class FGAbelianGroup:
         return (self.rank, self.torsion)
 
     # -- elements ----------------------------------------------------------
-    def reduce(self, x) -> np.ndarray:
-        """Canonical coset representative of a vector, or of each column of a matrix.
-
-        A vector gives a vector; an ngens x s matrix gives the s
-        representatives as columns, from one exact inversion of U.
-        """
+    def _u_reduced(self, x) -> np.ndarray:
+        """U x with each row reduced modulo its nonzero Smith diagonal entry."""
         u, d, _ = self._snf
         y = u @ _as_imat(x)
         for i in range(min(d.shape)):
             di = d[i, i]
             if di != 0:
                 y[i, :] %= di
-        # invert u exactly: u is unimodular, so solve u z = y
-        z = solve_integer(u, y)
+        return y
+
+    def reduce(self, x) -> np.ndarray:
+        """Canonical coset representative of a vector, or of each column of a matrix.
+
+        A vector gives a vector; an ngens x s matrix gives the s
+        representatives as columns, from one exact inversion of U.
+        """
+        # invert U exactly: it is unimodular, so solve U z = _u_reduced(x)
+        z = solve_integer(self._snf[0], self._u_reduced(x))
         return z[:, 0] if np.ndim(x) == 1 else z
 
     def is_zero(self, x) -> bool:
-        return lattice_contains(self.relations, _as_imat(x).reshape(-1, 1))
+        """True when a vector, or every column of a matrix, is 0 in the group."""
+        return not np.any(self._u_reduced(x))
 
     def __repr__(self) -> str:  # e.g. Z^2 + Z/2
         return f"FGAbelianGroup({describe(self.canonical())})"
@@ -334,6 +344,17 @@ def describe(canonical: tuple[int, tuple[int, ...]]) -> str:
 
 def free_group(n: int, labels=None) -> FGAbelianGroup:
     return FGAbelianGroup(n, izeros(n, 0), tuple(labels) if labels else None)
+
+
+def _labels_of(g: FGAbelianGroup) -> tuple[str, ...]:
+    return g.labels if g.labels is not None else tuple(f"e{i}" for i in range(g.ngens))
+
+
+def _combo_label(col, labels) -> str:
+    """``col`` as a signed sum of ``labels``, e.g. "a -b +2*c", or "0"."""
+    signs = {1: "+", -1: "-"}
+    terms = [f"{signs.get(int(c), f'{int(c):+d}*')}{lab}" for c, lab in zip(col, labels) if c != 0]
+    return " ".join(terms).removeprefix("+") or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +377,7 @@ class GroupMap:
                 f"dst ngens {self.dst.ngens} x src ngens {self.src.ngens}"
             )
         # well-defined: relations of src must land in the relation lattice of dst
-        if not lattice_contains(self.dst.relations, self.matrix @ self.src.relations):
+        if not self.dst.is_zero(self.matrix @ self.src.relations):
             raise ValueError("map does not respect source relations")
 
     def compose(self, other: "GroupMap") -> "GroupMap":
@@ -379,7 +400,7 @@ class GroupMap:
         return lattice_sum(ker[: a.shape[1], :], self.src.relations)
 
     def is_zero_map(self) -> bool:
-        return lattice_contains(self.dst.relations, self.matrix)
+        return self.dst.is_zero(self.matrix)
 
 
 def zero_map(src: FGAbelianGroup, dst: FGAbelianGroup) -> GroupMap:
@@ -393,7 +414,8 @@ def zero_map(src: FGAbelianGroup, dst: FGAbelianGroup) -> GroupMap:
 class Subquotient:
     """S / Q for lattices Q <= S inside an ambient presented group.
 
-    ``group`` is a presentation of the subquotient; ``basis`` lifts its
+    ``group`` is a presentation of the subquotient, its generators
+    labelled as combinations of the ambient ones; ``basis`` lifts its
     generators to ambient coordinates; ``project`` maps ambient vectors
     lying in S to coordinates of ``group``.
     """
@@ -415,7 +437,9 @@ class Subquotient:
         rel = solve_integer(basis, q_lat)
         if rel is None:
             raise ValueError("quotient lattice is not contained in subgroup lattice")
-        self.group = FGAbelianGroup(basis.shape[1], rel)
+        amb_labels = _labels_of(amb)
+        labels = tuple(_combo_label(col, amb_labels) for col in basis.T)
+        self.group = FGAbelianGroup(basis.shape[1], rel, labels)
         self.basis = basis
 
     def project(self, x) -> np.ndarray:

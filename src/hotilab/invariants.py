@@ -108,7 +108,8 @@ def _chern_raw(bloch, resolution: int) -> float:
 
 
 def chern_number_2d(bloch, resolution: int = 24) -> int:
-    """First Chern number of the occupied (E < 0) bands of a 2d Bloch map.
+    """First Chern number of the occupied (E < 0) bands of a 2d Bloch map
+    (a callable of k, or a 2d ``HoppingModel``, which stands for its ``bloch``).
 
     Plaquette field strengths from overlap-link phases; the lattice total is
     an integer by construction, and two grid sizes must agree before the

@@ -37,6 +37,8 @@ from .fgab import (
     FGAbelianGroup,
     GroupMap,
     Subquotient,
+    _combo_label,
+    _labels_of,
     describe,
     free_group,
     hermite_column_form,
@@ -44,7 +46,6 @@ from .fgab import (
     imat,
     izeros,
     kernel_basis,
-    lattice_contains,
     lattice_sum,
     smith_normal_form,
     solve_integer,
@@ -93,37 +94,6 @@ def _lattice_invariants(lat) -> tuple[int, ...]:
         return ()
     d = smith_normal_form(basis)[1]
     return tuple(int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
-
-
-def _combo_label(col, labels) -> str:
-    terms = []
-    for c, lab in zip(col, labels):
-        c = int(c)
-        if c == 0:
-            continue
-        if c == 1:
-            terms.append(f"+{lab}")
-        elif c == -1:
-            terms.append(f"-{lab}")
-        else:
-            terms.append(f"{c:+d}*{lab}")
-    if not terms:
-        return "0"
-    out = " ".join(terms)
-    return out[1:] if out.startswith("+") else out
-
-
-def _labels_of(g: FGAbelianGroup) -> tuple[str, ...]:
-    if g.labels is not None:
-        return g.labels
-    return tuple(f"e{i}" for i in range(g.ngens))
-
-
-def _labeled_like(sq: Subquotient, ambient: FGAbelianGroup) -> FGAbelianGroup:
-    """Re-present a subquotient's group with labels lifted from the ambient."""
-    labs = _labels_of(ambient)
-    new = tuple(_combo_label(sq.basis[:, j], labs) for j in range(sq.group.ngens))
-    return FGAbelianGroup(sq.group.ngens, sq.group.relations, new)
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +151,7 @@ class CofiltrationData:
                 # but only on classes where the lift data is ever used
                 ker = self.boundary[(0, eps)].kernel_lattice()
                 down = self.boundary[(2, eps ^ 1)].matrix @ mat @ ker
-                if not lattice_contains(self.strata[(3, eps)].relations, down):
+                if not self.strata[(3, eps)].is_zero(down):
                     raise ValueError(
                         f"second-order data for parity {eps} is not closed under the boundary map"
                     )
@@ -289,9 +259,8 @@ def build_couple(cd: CofiltrationData) -> ExactCouple:
                 rel[: e.ngens, : coker_rel.shape[1]] = coker_rel
                 rel[e.ngens :, coker_rel.shape[1] :] = ksq.group.relations
                 prev = dg[(p - 1, t ^ 1)]
-                labs = tuple(f"[{s}]" for s in _labels_of(e)) + tuple(
-                    f"lift({_combo_label(ksq.basis[:, j], _labels_of(prev))})" for j in range(nk)
-                )
+                labs = tuple(f"[{s}]" for s in _labels_of(e))
+                labs += tuple(f"lift({s})" for s in ksq.group.labels)
                 dgrp = FGAbelianGroup(e.ngens + nk, rel, labs)
                 dg[(p, t)] = dgrp
                 gmat = izeros(dgrp.ngens, e.ngens)
@@ -357,8 +326,8 @@ def _derive_with_data(c: ExactCouple, rng=None):
                 quot = izeros(egrp.ngens, 0)
             esq[(p, t)] = Subquotient(egrp, gsub, lattice_sum(quot, egrp.relations))
 
-    nd = {k: _labeled_like(dsq[k], c.d_groups[k]) for k in dsq}
-    ne = {k: _labeled_like(esq[k], c.e_groups[k]) for k in esq}
+    nd = {k: sq.group for k, sq in dsq.items()}
+    ne = {k: sq.group for k, sq in esq.items()}
 
     al, be, ga = {}, {}, {}
     for p in range(d + 1):
@@ -437,7 +406,7 @@ class BoundaryMapReport:
     matrix: np.ndarray
 
     def is_zero(self) -> bool:
-        return lattice_contains(self.codomain.relations, self.matrix)
+        return self.codomain.is_zero(self.matrix)
 
     def image_order_two(self, j: int) -> bool:
         """True when generator j maps to a nonzero class killed by doubling."""

@@ -5,12 +5,18 @@ an orbital unitary, an antiunitary flag, and a chirality sign (whether it
 commutes or anticommutes with the Hamiltonian).  The U(1) cocycle is stored
 extensionally - computed from the actual unitaries, never assumed - so
 projective relations like (C4.T)^4 = -1 are facts about matrices, not inputs.
+
+The built-in actions are the rows of one table (order, orbital unitary,
+point-group matrix, antiunitary and chiral flags): ``builtin_action`` builds
+a new action from a row, and ``covariant_elements`` reads every row's action
+from one tuple, built on its first call and kept.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -24,7 +30,6 @@ __all__ = [
     "check_covariance",
     "CovariantElement",
     "covariant_elements",
-    "MomentumReversal",
     "momentum_reversal",
     "symmetrize",
     "verify_projective_relations",
@@ -224,9 +229,6 @@ class CovariantElement:
         return out.reshape(vecs.shape)
 
 
-MomentumReversal = CovariantElement  # its name when it served momentum_reversal alone
-
-
 def covariant_elements(model: HoppingModel, geometry: Geometry) -> Iterator[CovariantElement]:
     """Yield each element g (in ``BUILTIN_ACTIONS`` and element order) of each
     built-in action that passes ``check_covariance`` on ``model``, when S_g
@@ -237,8 +239,7 @@ def covariant_elements(model: HoppingModel, geometry: Geometry) -> Iterator[Cova
     opens, periodic = list(geometry.open_dirs), list(geometry.periodic_dirs)
     shape, strides, lookup = geometry.box_lookup()
     sites = geometry.site_array()[:, opens]
-    for name in BUILTIN_ACTIONS:
-        action = builtin_action(name)
+    for action in _built_actions():
         fits = (action.dimension, action.norb) == (model.dimension, model.norb)
         if not fits or not check_covariance(model, action)[0]:
             continue
@@ -255,7 +256,7 @@ def covariant_elements(model: HoppingModel, geometry: Geometry) -> Iterator[Cova
             if np.any(perm < 0):
                 continue
             k_map = (-1 if action.antiunitary[g] else 1) * s[np.ix_(periodic, periodic)]
-            yield CovariantElement(f"{name}:{g}", perm, action.unitaries[g],
+            yield CovariantElement(f"{action.name}:{g}", perm, action.unitaries[g],
                                    bool(action.antiunitary[g]), k_map, bool(action.chirality[g]))
 
 
@@ -297,70 +298,42 @@ def symmetrize(model: HoppingModel, action: SymmetryAction) -> HoppingModel:
 
 
 # ---------------------------------------------------------------------------
-# built-in actions
+# built-in actions, matched to the built-in models' orbital bases
 
-def _pg(rows) -> PointGroupElement:
-    return PointGroupElement(tuple(tuple(r) for r in rows))
-
-
-def _inversion_action() -> SymmetryAction:
-    return SymmetryAction.cyclic(
-        2, np.kron(s0, s3), _pg([[-1, 0, 0], [0, -1, 0], [0, 0, -1]]),
-        name="inversion",
-    )
-
-
-def _c2t_action() -> SymmetryAction:
+# name -> (order, orbital unitary, point-group matrix, antiunitary, chiral)
+_ACTION_TABLE = {
+    "inversion": (2, np.kron(s0, s3), ((-1, 0, 0), (0, -1, 0), (0, 0, -1)), False, False),
     # C2 about the third axis composed with time reversal; squares to +1
-    return SymmetryAction.cyclic(
-        2, np.kron(s0, s1), _pg([[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
-        antiunitary=True, name="C2T",
-    )
-
-
-def _c4t_action() -> SymmetryAction:
-    # C4 about the third axis composed with time reversal; fourth power = -1
-    u = np.kron(s0, s2 @ np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)]))
-    return SymmetryAction.cyclic(
-        4, u, _pg([[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
-        antiunitary=True, name="C4T",
-    )
-
-
-def _time_reversal_action() -> SymmetryAction:
-    return SymmetryAction.cyclic(
-        2, np.kron(s0, s2), PointGroupElement.identity(3),
-        antiunitary=True, name="T",
-    )
-
-
-def _chiral_action() -> SymmetryAction:
-    return SymmetryAction.cyclic(
-        2, np.kron(s3, s0), PointGroupElement.identity(2),
-        chirality=True, name="chiral",
-    )
-
-
-def _mirror_diagonal_action() -> SymmetryAction:
+    "C2T": (2, np.kron(s0, s1), ((-1, 0, 0), (0, -1, 0), (0, 0, 1)), True, False),
+    # C4 about the third axis composed with time reversal; fourth power = -1.
+    # Its unitary is s0 (x) s2 diag(e^{i pi/4}, e^{-i pi/4}), scaled column-wise
+    "C4T": (4, np.kron(s0, s2 * np.exp([1j * np.pi / 4, -1j * np.pi / 4])),
+            ((0, -1, 0), (1, 0, 0), (0, 0, 1)), True, False),
+    "T": (2, np.kron(s0, s2), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), True, False),
+    "chiral": (2, np.kron(s3, s0), ((1, 0), (0, 1)), False, True),
     # swaps the two lattice directions; orbitals already sit in mirror eigenbasis
-    return SymmetryAction.cyclic(
-        2, np.kron(s0, s3), _pg([[0, 1], [1, 0]]), name="mirror-diagonal",
-    )
-
-
-BUILTIN_ACTIONS = ("inversion", "C2T", "C4T", "T", "chiral", "mirror-diagonal")
+    "mirror-diagonal": (2, np.kron(s0, s3), ((0, 1), (1, 0)), False, False),
+}
+BUILTIN_ACTIONS = tuple(_ACTION_TABLE)
 
 
 def builtin_action(name: str) -> SymmetryAction:
-    """Named action matched to the built-in models' orbital bases."""
-    factories = {
-        "inversion": _inversion_action,
-        "C2T": _c2t_action,
-        "C4T": _c4t_action,
-        "T": _time_reversal_action,
-        "chiral": _chiral_action,
-        "mirror-diagonal": _mirror_diagonal_action,
-    }
-    if name not in factories:
+    """A new action built from the named row of the built-in table."""
+    if name not in _ACTION_TABLE:
         raise KeyError(f"unknown action {name!r}; have {BUILTIN_ACTIONS}")
-    return factories[name]()
+    order, unitary, matrix, antiunitary, chiral = _ACTION_TABLE[name]
+    return SymmetryAction.cyclic(order, unitary, PointGroupElement(matrix),
+                                 antiunitary, chiral, name)
+
+
+def _read_only(action: SymmetryAction) -> SymmetryAction:
+    for u in action.unitaries.values():
+        u.flags.writeable = False
+    return action
+
+
+@cache
+def _built_actions() -> tuple[SymmetryAction, ...]:
+    """Every built-in action, built on the first call and kept.  Their
+    unitaries are read-only, since every covariant element shares them."""
+    return tuple(_read_only(builtin_action(name)) for name in BUILTIN_ACTIONS)

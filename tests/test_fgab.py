@@ -3,6 +3,7 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import hotilab.fgab as fgab
 from hotilab.fgab import (
     FGAbelianGroup,
     GroupMap,
@@ -177,6 +178,35 @@ def test_group_reduce_and_equal():
     cols = [g3.reduce(xs[:, j]) for j in range(xs.shape[1])]
     assert np.array_equal(g3.reduce(xs), np.stack(cols, axis=1))
     assert g3.reduce(izeros(3, 0)).shape == (3, 0)
+    # a matrix is zero when every column is: members, then one non-member
+    members = g3.relations @ random_imat(2, 5)
+    for m in (members, np.concatenate([members, imat([[0], [1], [0]])], axis=1), xs):
+        cols = [lattice_contains(g3.relations, m[:, [j]]) for j in range(m.shape[1])]
+        assert g3.is_zero(m) == all(cols)
+    assert g3.is_zero(members)
+
+
+def test_group_factors_its_relations_on_first_use(monkeypatch):
+    factored = []
+    snf = fgab.smith_normal_form
+
+    def counted(m):
+        factored.append(m)
+        return snf(m)
+
+    monkeypatch.setattr(fgab, "smith_normal_form", counted)
+    reads = [lambda g: g.rank, lambda g: g.torsion,
+             lambda g: g.reduce([3, 1]), lambda g: g.is_zero([2, 0])]
+    for read in reads:
+        factored.clear()
+        g = FGAbelianGroup(2, [[2], [0]], ("a", "b"))
+        assert factored == []
+        read(g)
+        for again in reads:
+            again(g)
+        # one factorization of the relations serves every read
+        assert [m is g.relations for m in factored].count(True) == 1
+        assert factored[0] is g.relations
 
 
 def test_map_well_defined_rejects():

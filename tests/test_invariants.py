@@ -17,7 +17,7 @@ from hotilab.invariants import (
 )
 from hotilab.models import Assembly, HoppingModel, builtin_model, s0, s1, s2, s3, wire_geometry
 from hotilab.spectral import spectral_norm_bound
-from hotilab.symmetry import MomentumReversal, momentum_reversal
+from hotilab.symmetry import CovariantElement, momentum_reversal
 
 TOL = 1e-9
 
@@ -210,7 +210,7 @@ def test_hinge_flow_rejects_a_wrong_map(monkeypatch):
     # a map missing the orbital unitary does not carry H(k) onto H(-k)
     model = builtin_model("ham1")
     rev = momentum_reversal(model, wire_geometry(3, 6))
-    wrong = MomentumReversal("wrong", rev.site_perm, np.eye(4, dtype=complex), False)
+    wrong = CovariantElement("wrong", rev.site_perm, np.eye(4, dtype=complex), False)
     monkeypatch.setattr(spectral, "momentum_reversal", lambda *args: wrong)
     with pytest.raises(RuntimeError, match="residual"):
         hinge_spectral_flow(model, side=6, nk=9, window=8)

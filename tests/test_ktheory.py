@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import hotilab.fgab as fgab
 import hotilab.ktheory as ktheory
 from hotilab.fgab import (
     GroupMap,
@@ -366,3 +367,58 @@ def test_round_trip_through_json_text():
     text = json.dumps(cofiltration_to_dict(cd))
     rep = higher_boundary_map(cofiltration_from_dict(json.loads(text)), 2, 1)
     assert rep.image_order_two(0)
+
+
+def test_page_turn_keeps_each_subquotient_group():
+    # the derived D and E groups are the subquotients' own groups, labelled
+    # in the generators of the page they came from
+    c = build_couple(preset_cofiltration("quarter-mirror-chiral"))
+    out, dsq, esq = ktheory._derive_with_data(c)
+    for k in out.d_groups:
+        assert out.d_groups[k] is dsq[k].group and out.e_groups[k] is esq[k].group
+    assert {k: g.labels for k, g in out.d_groups.items()} == {
+        (0, 0): ("[chi+]", "[chi-]"),
+        (0, 1): ("[u_C]",),
+        (1, 0): ("[F:Ch{t}] +2*lift([u_C])",),
+        (1, 1): ("[F:[1]]", "lift([chi+])", "lift([chi-])"),
+        (2, 0): ("[C:[chi+E0]]", "[C:[chi-E0]]", "lift([F:[1]])",
+                 "lift(lift([chi+]))", "lift(lift([chi-]))"),
+        (2, 1): ("lift([F:Ch{t}] +2*lift([u_C]))",),
+    }
+    assert {k: g.labels for k, g in out.e_groups.items()} == {
+        (0, 0): ("[chi+]", "[chi-]"),
+        (0, 1): ("[u_C]",),
+        (1, 0): (),
+        (1, 1): ("F:[1]",),
+        (2, 0): ("C:[chi+E0]", "C:[chi-E0]"),
+        (2, 1): (),
+    }
+
+
+# Smith normal forms of one couple_report, an upper bound that keeps each
+# group to one factorization of its own relations
+REPORT_SNF_CALLS = {
+    "square-plain-2": 90,
+    "square-plain-3": 100,
+    "square-inversion": 83,
+    "square-C2T": 83,
+    "square-C4T": 83,
+    "cube-plain": 216,
+    "quarter-mirror-chiral": 87,
+}
+
+
+def test_report_smith_forms_stay_bounded(monkeypatch):
+    calls = []
+    snf = fgab.smith_normal_form
+
+    def counted(m):
+        calls.append(1)
+        return snf(m)
+
+    monkeypatch.setattr(fgab, "smith_normal_form", counted)
+    monkeypatch.setattr(ktheory, "smith_normal_form", counted)
+    for name in PRESET_NAMES:
+        calls.clear()
+        couple_report(preset_cofiltration(name))
+        assert len(calls) <= REPORT_SNF_CALLS[name], name

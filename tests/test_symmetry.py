@@ -225,3 +225,31 @@ def test_momentum_reversal_is_the_first_reversing_covariant_element(mname, gamma
         if rev is not None:
             assert not rev.chiral and np.array_equal(rev.k_map, -np.eye(len(geo.periodic_dirs)))
     assert tuple(labels) == REVERSAL_LABELS[(mname, gamma)]
+
+
+def test_covariant_elements_builds_no_action(monkeypatch):
+    # the finder builds its actions once, so a later call builds none
+    model, geo = builtin_model("ham2"), slab_geometry(3, 0, 20)
+    list(covariant_elements(model, geo))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("an action was built")
+
+    monkeypatch.setattr(SymmetryAction, "cyclic", classmethod(no_build))
+    assert [el.label for el in covariant_elements(model, geo)] == ["C2T:e", "C2T:g"]
+
+
+def test_builtin_action_is_a_new_object_every_call():
+    model, geo = builtin_model("ham1"), slab_geometry(3, 2, 4)
+    before = list(covariant_elements(model, geo))
+    assert "inversion:g" in [el.label for el in before]
+    a, b = builtin_action("inversion"), builtin_action("inversion")
+    assert a is not b and a.unitaries["g"] is not b.unitaries["g"]
+    a.unitaries["g"][:] = 0
+    after = list(covariant_elements(model, geo))
+    assert [el.label for el in after] == [el.label for el in before]
+    for el, old in zip(after, before):
+        name, g = el.label.split(":")
+        assert np.array_equal(el.unitary, builtin_action(name).unitaries[g])
+        assert np.array_equal(el.k_map, old.k_map)
+        assert not el.unitary.flags.writeable  # shared with the next call
