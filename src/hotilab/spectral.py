@@ -14,7 +14,7 @@ once and evaluate it per momentum, and attach per-region spatial weights
 degenerate clusters so weights are stable under basis ambiguity.  Gap
 scans (slabs, edges, the bulk) run one dense ``eigvalsh`` loop,
 ``dense_spectra``, over a Bloch callable at one momentum per orbit of the
-k-maps of ``symmetry.covariant_elements``, each map spot-checked once.
+solved k-maps of ``symmetry.covariant_elements``, each spot-checked once.
 """
 
 from __future__ import annotations
@@ -361,14 +361,15 @@ def _orbit_gap(bloch, nk: int, m: int, elements) -> float:
     """min |E| of ``bloch`` on the nk^m grid of [-pi, pi)^m (last axis fastest)
     at the first point of each orbit of the elements' k-maps M, which map
     grid index j to M j mod nk exactly.  Spot check once per map that moves
-    the grid, at a seeded random k: the spectrum at M k must be the one at k
-    (negated for chiral elements) within 1e-12 * bound, or this raises."""
+    the grid and chiral flag, at a seeded random k: the spectrum at M k must
+    be the one at k (negated if chiral) within 1e-12 * bound, or this raises."""
     index = np.indices((nk,) * m).reshape(m, -1).T
     points = np.linspace(-np.pi, np.pi, nk, endpoint=False)[index]
-    rng, images = np.random.default_rng(0), [np.arange(len(points))]  # the identity first
+    rng, images, checked = np.random.default_rng(0), [np.arange(len(points))], set()  # identity first
     for el in elements:
         image = (index @ el.k_map.T % nk) @ nk ** np.arange(m - 1, -1, -1)
-        if np.any(image != images[0]):
+        if np.any(image != images[0]) and (image.tobytes(), el.chiral) not in checked:
+            checked.add((image.tobytes(), el.chiral))
             k = rng.uniform(-np.pi, np.pi, m)
             at_k, at_mk = dense_spectra(bloch, [k, el.k_map @ k])
             defect = np.max(np.abs(at_mk - (-at_k[::-1] if el.chiral else at_k)))

@@ -6,17 +6,17 @@ commutes or anticommutes with the Hamiltonian).  The U(1) cocycle is stored
 extensionally - computed from the actual unitaries, never assumed - so
 projective relations like (C4.T)^4 = -1 are facts about matrices, not inputs.
 
-The built-in actions are the rows of one table (order, orbital unitary,
-point-group matrix, antiunitary and chiral flags): ``builtin_action`` builds
-a new action from a row, and ``covariant_elements`` reads every row's action
-from one tuple, built on its first call and kept.
+``covariant_elements`` solves each element's orbital unitary from the model's
+hoppings, once per model content, and shares one defect routine with
+``check_covariance``.  The table of named actions (``builtin_action``) serves
+``check-symmetry``, ``symmetrize`` and the parity operator of ``trim_parities``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import cache
+from itertools import permutations, product
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
 UNITARITY_TOL = 1e-12
 COVARIANCE_TOL = 1e-12
 MAX_GROUP_ORDER = 1024
+_SOLVED: dict[tuple, tuple] = {}  # _solved_elements' results, by model content
 
 
 def _maybe_conj(m: np.ndarray, anti: int) -> np.ndarray:
@@ -181,6 +182,14 @@ def verify_projective_relations(action: SymmetryAction, tol: float = 1e-9):
     return defect <= tol, defect
 
 
+def _element_defect(model: HoppingModel, s: np.ndarray, u: np.ndarray, anti: int, chiral: int) -> float:
+    """Max entry of U conj^anti(w(d)) U^-1 - (-1)^chiral w(s d) over d where either is nonzero."""
+    zero, sign = np.zeros((model.norb, model.norb), dtype=complex), -1.0 if chiral else 1.0
+    lhs = {tuple((s @ d).tolist()): u @ _maybe_conj(w, anti) @ u.conj().T for d, w in model.hoppings.items()}
+    return max((float(np.max(np.abs(lhs.get(d, zero) - sign * model.hoppings.get(d, zero))))
+                for d in lhs.keys() | model.hoppings.keys()), default=0.0)
+
+
 def check_covariance(
     model: HoppingModel, action: SymmetryAction, tol: float = COVARIANCE_TOL
 ):
@@ -191,19 +200,8 @@ def check_covariance(
     """
     if model.dimension != action.dimension or model.norb != action.norb:
         raise ValueError("model/action shape mismatch")
-    deltas = set(model.hoppings)
-    for g in action.elements:
-        deltas |= {action.spatial[g].apply(d) for d in set(model.hoppings)}
-    zero = np.zeros((model.norb, model.norb), dtype=complex)
-    defect = 0.0
-    for g in action.elements:
-        u = action.unitaries[g]
-        sign = -1.0 if action.chirality[g] else 1.0
-        for d in deltas:
-            w = model.hoppings.get(d, zero)
-            target = model.hoppings.get(action.spatial[g].apply(d), zero)
-            lhs = u @ _maybe_conj(w, action.antiunitary[g]) @ u.conj().T
-            defect = max(defect, float(np.max(np.abs(lhs - sign * target))))
+    defect = max(_element_defect(model, np.array(action.spatial[g].matrix), action.unitaries[g],
+                                 action.antiunitary[g], action.chirality[g]) for g in action.elements)
     return defect <= tol, defect
 
 
@@ -214,7 +212,7 @@ class CovariantElement:
     carries eigenvectors of H(k) onto eigenvectors of H(k_map @ k), with the
     same energies, or negated ones when ``chiral``."""
 
-    label: str  # "<action>:<element>"
+    label: str  # "S=(<image of x,y,z>),anti=<0|1>,chiral=<0|1>"
     site_perm: np.ndarray
     unitary: np.ndarray
     antiunitary: bool
@@ -229,35 +227,66 @@ class CovariantElement:
         return out.reshape(vecs.shape)
 
 
+def _solved_elements(model: HoppingModel) -> tuple:
+    """(S, U, anti, chiral, label) per signed axis permutation S that maps the
+    hopping displacements onto themselves, antiunitary flag and (graded models)
+    chiral flag whose equation U conj^anti(w(delta)) = (-1)^chiral w(S delta) U
+    has a solution within ``COVARIANCE_TOL``: U is the polar factor of a seeded
+    combination of its null vectors, which solves it when any unitary does."""
+    key = (model.dimension, model.norb, model.chirality is not None,
+           tuple(sorted((d, w.tobytes()) for d, w in model.hoppings.items())))
+    if key not in _SOLVED:
+        n, dim, where = model.norb, model.dimension, {d: i for i, d in enumerate(model.hoppings)}
+        w = np.array(list(model.hoppings.values())).reshape(-1, n, n)
+        eye, axes = np.eye(n), "xyz" if dim <= 3 else [f"x{i + 1}" for i in range(dim)]
+        candidates, grams, solved, rng = [], [], [], np.random.default_rng(0)
+        for perm, signs in product(permutations(range(dim)), product((1, -1), repeat=dim)):
+            s = np.eye(dim, dtype=np.int64)[list(perm)] * np.array(signs)[:, None]
+            image = [where.get(tuple((s @ d).tolist())) for d in where]
+            if None in image:
+                continue
+            name = ",".join(("-" if sign < 0 else "") + axes[p] for p, sign in zip(perm, signs))
+            for anti, chiral in product((0, 1), (0, 1) if model.chirality is not None else (0,)):
+                # U m - t U = 0 on U's row-major entries, one block of rows per displacement
+                m, t = _maybe_conj(w, anti), (-1 if chiral else 1) * w[image]
+                rows = (eye[:, None, :, None] * m.swapaxes(1, 2)[:, None, :, None, :]
+                        - t[:, :, None, :, None] * eye[None, :, None, :]).reshape(-1, n * n)
+                grams.append(rows.conj().T @ rows)
+                candidates.append((s, anti, chiral, f"S=({name}),anti={anti},chiral={chiral}"))
+        for (s, anti, chiral, label), lam, vecs in zip(candidates, *np.linalg.eigh(np.array(grams))):
+            null = vecs[:, lam <= 1e-12 * lam[-1]]
+            x = null @ (rng.normal(size=null.shape[1]) + 1j * rng.normal(size=null.shape[1]))
+            left, _, right = np.linalg.svd(x.reshape(n, n))
+            u = left @ right
+            if null.shape[1] and _element_defect(model, s, u, anti, chiral) <= COVARIANCE_TOL:
+                u.flags.writeable = False  # shared by every call for this content
+                solved.append((s, u, anti, chiral, label))
+        _SOLVED[key] = tuple(solved)
+    return _SOLVED[key]
+
+
 def covariant_elements(model: HoppingModel, geometry: Geometry) -> Iterator[CovariantElement]:
-    """Yield each element g (in ``BUILTIN_ACTIONS`` and element order) of each
-    built-in action that passes ``check_covariance`` on ``model``, when S_g
-    keeps open and periodic directions apart and x -> S_g x + t maps the
-    open box onto the sites of ``geometry`` (a bulk has one site).  With
-    (O psi)(S x + t) = U_g conj^phi(g)(psi(x)), covariance then gives
-    O H(k) O^-1 = (-1)^c(g) H(k_map @ k) with k_map = (-1)^phi(g) S_pp."""
+    """Yield each element of ``_solved_elements(model)`` (signed permutations
+    in lexicographic order, identity first) whose S keeps open and periodic
+    directions apart and, as x -> S x + t, maps the open box onto the sites of
+    ``geometry`` (a bulk has one site).  (O psi)(S x + t) = U conj^phi(psi(x))
+    then gives O H(k) O^-1 = (-1)^c H(k_map @ k), k_map = (-1)^phi S_pp."""
     opens, periodic = list(geometry.open_dirs), list(geometry.periodic_dirs)
     shape, strides, lookup = geometry.box_lookup()
     sites = geometry.site_array()[:, opens]
-    for action in _built_actions():
-        fits = (action.dimension, action.norb) == (model.dimension, model.norb)
-        if not fits or not check_covariance(model, action)[0]:
+    for s, u, anti, chiral, label in _solved_elements(model):
+        s_open = s[np.ix_(opens, opens)]
+        if s[np.ix_(opens, periodic)].any() or s[np.ix_(periodic, opens)].any():
             continue
-        for g in action.elements:
-            s = np.array(action.spatial[g].matrix, dtype=np.int64)
-            s_open = s[np.ix_(opens, opens)]
-            if s[np.ix_(opens, periodic)].any() or s[np.ix_(periodic, opens)].any():
-                continue
-            # shift the image box back so that its lowest corner is the origin
-            image = sites @ s_open.T - np.minimum(s_open, 0) @ (shape - 1)
-            if not np.all((image >= 0) & (image < shape)):
-                continue
-            perm = lookup[image @ strides]
-            if np.any(perm < 0):
-                continue
-            k_map = (-1 if action.antiunitary[g] else 1) * s[np.ix_(periodic, periodic)]
-            yield CovariantElement(f"{action.name}:{g}", perm, action.unitaries[g],
-                                   bool(action.antiunitary[g]), k_map, bool(action.chirality[g]))
+        # shift the image box back so that its lowest corner is the origin
+        image = sites @ s_open.T - np.minimum(s_open, 0) @ (shape - 1)
+        if not np.all((image >= 0) & (image < shape)):
+            continue
+        perm = lookup[image @ strides]
+        if np.any(perm < 0):
+            continue
+        k_map = (-1 if anti else 1) * s[np.ix_(periodic, periodic)]
+        yield CovariantElement(label, perm, u, bool(anti), k_map, bool(chiral))
 
 
 def momentum_reversal(model: HoppingModel, geometry: Geometry) -> CovariantElement | None:
@@ -298,9 +327,7 @@ def symmetrize(model: HoppingModel, action: SymmetryAction) -> HoppingModel:
 
 
 # ---------------------------------------------------------------------------
-# built-in actions, matched to the built-in models' orbital bases
-
-# name -> (order, orbital unitary, point-group matrix, antiunitary, chiral)
+# named actions, name -> (order, orbital unitary, point-group matrix, antiunitary, chiral)
 _ACTION_TABLE = {
     "inversion": (2, np.kron(s0, s3), ((-1, 0, 0), (0, -1, 0), (0, 0, -1)), False, False),
     # C2 about the third axis composed with time reversal; squares to +1
@@ -324,16 +351,3 @@ def builtin_action(name: str) -> SymmetryAction:
     order, unitary, matrix, antiunitary, chiral = _ACTION_TABLE[name]
     return SymmetryAction.cyclic(order, unitary, PointGroupElement(matrix),
                                  antiunitary, chiral, name)
-
-
-def _read_only(action: SymmetryAction) -> SymmetryAction:
-    for u in action.unitaries.values():
-        u.flags.writeable = False
-    return action
-
-
-@cache
-def _built_actions() -> tuple[SymmetryAction, ...]:
-    """Every built-in action, built on the first call and kept.  Their
-    unitaries are read-only, since every covariant element shares them."""
-    return tuple(_read_only(builtin_action(name)) for name in BUILTIN_ACTIONS)

@@ -411,11 +411,11 @@ def _assert_one_momentum_per_orbit(solved, nk, k_maps):
 # (model, gamma, open direction, nk, orbits): the seven faces of the
 # slab-gap-scan benchmark on its 12 x 12 grid, then the tier-1 grid
 ORBIT_COUNTS = [
-    ("ham2", 0.5, 0, 12, 84), ("ham2", 0.5, 1, 12, 84), ("ham2", 0.5, 2, 12, 144),
-    ("ham1", 0.5, 0, 12, 74), ("ham1", 0.5, 2, 12, 74),
-    ("ham1", 0.0, 0, 12, 74), ("ham1", 0.0, 2, 12, 74),
-    ("ham1", 0.5, 0, 101, 5101), ("ham2", 0.5, 0, 101, 5151),
-    ("ham3", 0.5, 2, 101, 2551), ("ham2", 0.5, 2, 101, 10201),
+    ("ham2", 0.5, 0, 12, 49), ("ham2", 0.5, 1, 12, 49), ("ham2", 0.5, 2, 12, 43),
+    ("ham1", 0.5, 0, 12, 43), ("ham1", 0.5, 2, 12, 43),
+    ("ham1", 0.0, 0, 12, 28), ("ham1", 0.0, 2, 12, 28),
+    ("ham1", 0.5, 0, 101, 2601), ("ham2", 0.5, 0, 101, 2601),
+    ("ham3", 0.5, 2, 101, 1326), ("ham2", 0.5, 2, 101, 2601),
 ]
 
 
@@ -434,11 +434,12 @@ def test_slab_gap_scan_solves_one_momentum_per_orbit(monkeypatch, mname, gamma, 
 
 
 def test_bulk_gap_scan_solves_one_momentum_per_orbit(monkeypatch):
-    # C4T's four k-maps on a 9^3 grid; the scan matches the full grid
+    # the eight k-maps of ham3's sixteen elements on a 9^3 grid; the scan
+    # matches the full grid
     model = builtin_model("ham3")
     gap, calls = _record_gap_scan(monkeypatch, lambda: minimum_bulk_gap(model, resolution=9))
     elements = covariant_elements(model, bulk_geometry(3))
-    assert _assert_one_momentum_per_orbit(calls[-1], 9, [el.k_map for el in elements]) == 4
+    assert _assert_one_momentum_per_orbit(calls[-1], 9, [el.k_map for el in elements]) == 8
     mats = [model.bloch(k) for k in product(np.linspace(-np.pi, np.pi, 9, endpoint=False), repeat=3)]
     low = min(float(np.min(np.abs(np.linalg.eigvalsh(m)))) for m in mats)
     assert abs(gap - low) <= 1e-12 * max(spectral_norm_bound(m) for m in mats)
@@ -448,9 +449,10 @@ def test_gap_scan_rejects_a_wrong_k_map(monkeypatch):
     # C2T on the ham2 yz slab reverses k_z; a finder that has it swap k_y
     # and k_z instead must trip the spot check
     model = builtin_model("ham2")
-    true = list(covariant_elements(model, slab_geometry(3, 0, 4)))
-    assert [el.k_map.tolist() for el in true] == [[[1, 0], [0, 1]], [[1, 0], [0, -1]]]
-    wrong = [true[0], replace(true[1], k_map=np.array([[0, 1], [1, 0]]))]
+    c2t = next(el for el in covariant_elements(model, slab_geometry(3, 0, 4))
+               if el.label == "S=(-x,-y,z),anti=1,chiral=0")
+    assert c2t.k_map.tolist() == [[1, 0], [0, -1]]
+    wrong = [replace(c2t, k_map=np.array([[0, 1], [1, 0]]))]
     monkeypatch.setattr(spectral, "covariant_elements", lambda *args: wrong)
     with pytest.raises(RuntimeError, match="does not map the spectrum"):
         slab_gap_scan(model, 0, 4, 12)
@@ -464,7 +466,8 @@ def test_gap_scans_without_covariant_elements_solve_every_momentum(monkeypatch):
     hops = dict(base.hoppings)
     hops[(0, 0, 0)] = hops[(0, 0, 0)] + 0.05 * (a + a.conj().T)
     broken = HoppingModel(3, 4, hops)
-    assert list(covariant_elements(broken, bulk_geometry(3))) == []
+    # only the identity, which moves no momentum
+    assert [el.label for el in covariant_elements(broken, bulk_geometry(3))] == ["S=(x,y,z),anti=0,chiral=0"]
     for direction in range(3):
         _, calls = _record_gap_scan(monkeypatch, lambda: slab_gap_scan(broken, direction, 4, 7))
         assert [len(c) for c in calls] == [49]

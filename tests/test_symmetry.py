@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hotilab.symmetry as symmetry
 from hotilab.models import (
     Assembly,
     HoppingModel,
@@ -14,6 +15,7 @@ from hotilab.models import (
 from hotilab.patterns import PointGroupElement
 from hotilab.symmetry import (
     BUILTIN_ACTIONS,
+    COVARIANCE_TOL,
     SymmetryAction,
     builtin_action,
     check_covariance,
@@ -146,8 +148,10 @@ def test_covariance_detects_broken_model():
 
 
 @pytest.mark.parametrize("mname,label", [
-    ("ham1", "inversion:g"), ("ham2", "C2T:g"), ("ham3", "C4T:g"),
-])
+    ("ham1", "S=(-x,-y,-z),anti=0,chiral=0"),
+    ("ham2", "S=(-x,-y,z),anti=1,chiral=0"),
+    ("ham3", "S=(x,-y,z),anti=1,chiral=0"),
+], ids=["ham1", "ham2", "ham3"])
 def test_momentum_reversal_maps_eigenpairs_to_minus_k(mname, label):
     model = builtin_model(mname)
     geo = wire_geometry(3, 6)
@@ -202,14 +206,16 @@ def test_every_covariant_element_maps_k_to_its_k_map(mname, gamma, direction):
 # momentum_reversal's pick per built-in model: on a side-6 wire (3D models
 # only), then on slabs open along each direction in turn
 REVERSAL_LABELS = {
-    ("ham1", 0.5): ("inversion:g", "inversion:g", "inversion:g", "inversion:g"),
-    ("ham1", 0.0): ("inversion:g", "inversion:g", "inversion:g", "inversion:g"),
-    ("ham2", 0.5): ("C2T:g", None, None, None),
-    ("ham2", 0.0): ("C2T:g", "T:g", "T:g", "C4T:g^2"),
-    ("ham3", 0.5): ("C4T:g", None, None, "C4T:g^2"),
-    ("ham3", 0.0): ("C2T:g", "T:g", "T:g", "C4T:g^2"),
-    ("chiral-quarter-uC", 0.5): (None, None),
-    ("chiral-quarter-uF", 0.5): (None, None),
+    ("ham1", 0.5): ("S=(-x,-y,-z),anti=0,chiral=0",) * 4,
+    ("ham1", 0.0): ("S=(x,y,z),anti=1,chiral=0",) * 4,
+    ("ham2", 0.5): ("S=(-x,-y,z),anti=1,chiral=0", "S=(-x,-y,-z),anti=0,chiral=0",
+                    "S=(-x,-y,-z),anti=0,chiral=0", "S=(x,y,-z),anti=1,chiral=0"),
+    ("ham2", 0.0): ("S=(x,y,z),anti=1,chiral=0",) * 4,
+    ("ham3", 0.5): ("S=(x,-y,z),anti=1,chiral=0", "S=(x,-y,-z),anti=0,chiral=0",
+                    "S=(x,-y,z),anti=1,chiral=0", "S=(x,y,-z),anti=1,chiral=0"),
+    ("ham3", 0.0): ("S=(x,y,z),anti=1,chiral=0",) * 4,
+    ("chiral-quarter-uC", 0.5): ("S=(x,y),anti=1,chiral=0",) * 2,
+    ("chiral-quarter-uF", 0.5): ("S=(x,y),anti=1,chiral=0",) * 2,
 }
 
 
@@ -228,28 +234,101 @@ def test_momentum_reversal_is_the_first_reversing_covariant_element(mname, gamma
 
 
 def test_covariant_elements_builds_no_action(monkeypatch):
-    # the finder builds its actions once, so a later call builds none
-    model, geo = builtin_model("ham2"), slab_geometry(3, 0, 20)
-    list(covariant_elements(model, geo))
-
+    # the finder solves its elements from the hoppings, reading no table row
     def no_build(*args, **kwargs):
         raise AssertionError("an action was built")
 
+    monkeypatch.setattr(symmetry, "_ACTION_TABLE", {})
+    monkeypatch.setattr(symmetry, "builtin_action", no_build)
     monkeypatch.setattr(SymmetryAction, "cyclic", classmethod(no_build))
-    assert [el.label for el in covariant_elements(model, geo)] == ["C2T:e", "C2T:g"]
+    geo = slab_geometry(3, 0, 20)
+    first = list(covariant_elements(builtin_model("ham2", 0.37), geo))
+    assert "S=(-x,-y,z),anti=1,chiral=0" in [el.label for el in first]
+    # a model of equal content shares the solve, one that differs in one
+    # hopping entry gets its own
+    again = list(covariant_elements(builtin_model("ham2", 0.37), geo))
+    assert all(a.unitary is b.unitary for a, b in zip(first, again))
+    hops = dict(builtin_model("ham2", 0.37).hoppings)
+    hops[(0, 0, 0)] = hops[(0, 0, 0)] + np.diag([1e-3, 0, 0, 0])
+    other = list(covariant_elements(HoppingModel(3, 4, hops), geo))
+    assert other[0].label == first[0].label and other[0].unitary is not first[0].unitary
 
 
 def test_builtin_action_is_a_new_object_every_call():
-    model, geo = builtin_model("ham1"), slab_geometry(3, 2, 4)
-    before = list(covariant_elements(model, geo))
-    assert "inversion:g" in [el.label for el in before]
     a, b = builtin_action("inversion"), builtin_action("inversion")
     assert a is not b and a.unitaries["g"] is not b.unitaries["g"]
     a.unitaries["g"][:] = 0
-    after = list(covariant_elements(model, geo))
-    assert [el.label for el in after] == [el.label for el in before]
-    for el, old in zip(after, before):
-        name, g = el.label.split(":")
-        assert np.array_equal(el.unitary, builtin_action(name).unitaries[g])
-        assert np.array_equal(el.k_map, old.k_map)
-        assert not el.unitary.flags.writeable  # shared with the next call
+    assert np.array_equal(builtin_action("inversion").unitaries["g"], b.unitaries["g"])
+
+
+def test_ham2_bulk_has_its_inversion():
+    # ham2's inversion acts on its orbitals as s3 (x) s0, not as the
+    # inversion row's s0 (x) s3 (fixed in ham1's basis)
+    model = builtin_model("ham2")
+    assert not check_covariance(model, builtin_action("inversion"))[0]
+    inv = [el for el in covariant_elements(model, bulk_geometry(3))
+           if not el.antiunitary and not el.chiral and np.array_equal(el.k_map, -np.eye(3))]
+    assert len(inv) == 1
+    u, target = inv[0].unitary, np.kron(np.diag([1, -1]), np.eye(2))
+    assert abs(abs(np.trace(target @ u)) - 4) <= 1e-12  # u is a phase times target
+
+
+@pytest.mark.parametrize("mname, gamma", [
+    (m, g) for m in ("ham1", "ham2", "ham3") for g in (0.5, 0.0)
+] + [("chiral-quarter-uC", 0.5), ("chiral-quarter-uF", 0.5)])
+def test_solved_unitaries_are_unitary_and_covariant(mname, gamma):
+    model = builtin_model(mname, gamma)
+    n, zero = model.norb, np.zeros((model.norb, model.norb))
+    for el in covariant_elements(model, bulk_geometry(model.dimension)):
+        u, anti, sign = el.unitary, el.antiunitary, -1 if el.chiral else 1
+        s = -el.k_map if anti else el.k_map  # a bulk's k-map is (-1)^anti S
+        assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-12
+        assert not u.flags.writeable  # shared by every call for this model
+        system = []
+        for d, w in model.hoppings.items():
+            m, t = (w.conj() if anti else w), sign * model.hoppings.get(tuple(s @ d), zero)
+            assert np.max(np.abs(u @ m @ u.conj().T - t)) <= COVARIANCE_TOL
+            system.append(np.kron(np.eye(n), m.T) - np.kron(t, np.eye(n)))
+        sv = np.linalg.svd(np.vstack(system), compute_uv=False)
+        # the null space of U m - t U = 0 in U: three-dimensional on uF
+        assert np.sum(sv <= 1e-9 * sv[0]) == (3 if mname == "chiral-quarter-uF" else 1)
+
+
+# check_covariance's (verdict, defect) for every built-in model and action
+# of its shape, at gamma 0.5 and 0 (the chiral models take no gamma)
+COVARIANCE_TABLE = {
+    ("ham1", "inversion", 0.5): (True, 0.0),
+    ("ham1", "inversion", 0.0): (True, 0.0),
+    ("ham1", "C2T", 0.5): (False, 4.5),
+    ("ham1", "C2T", 0.0): (False, 4.0),
+    ("ham1", "C4T", 0.5): (False, 4.5),
+    ("ham1", "C4T", 0.0): (False, 4.0),
+    ("ham1", "T", 0.5): (False, 4.5),
+    ("ham1", "T", 0.0): (False, 4.0),
+    ("ham2", "inversion", 0.5): (False, 1.4142135623730951),
+    ("ham2", "inversion", 0.0): (False, 1.0),
+    ("ham2", "C2T", 0.5): (True, 0.0),
+    ("ham2", "C2T", 0.0): (True, 0.0),
+    ("ham2", "C4T", 0.5): (False, 1.414213562373095),
+    ("ham2", "C4T", 0.0): (True, 2.220446049250313e-16),
+    ("ham2", "T", 0.5): (False, 1.4142135623730951),
+    ("ham2", "T", 0.0): (True, 0.0),
+    ("ham3", "inversion", 0.5): (False, 1.0),
+    ("ham3", "inversion", 0.0): (False, 1.0),
+    ("ham3", "C2T", 0.5): (False, 0.5),
+    ("ham3", "C2T", 0.0): (True, 0.0),
+    ("ham3", "C4T", 0.5): (True, 2.220446049250313e-16),
+    ("ham3", "C4T", 0.0): (True, 2.220446049250313e-16),
+    ("ham3", "T", 0.5): (False, 0.5),
+    ("ham3", "T", 0.0): (True, 0.0),
+    ("chiral-quarter-uC", "chiral", 0.5): (True, 0.0),
+    ("chiral-quarter-uC", "mirror-diagonal", 0.5): (True, 0.0),
+    ("chiral-quarter-uF", "chiral", 0.5): (True, 0.0),
+    ("chiral-quarter-uF", "mirror-diagonal", 0.5): (True, 0.0),
+}
+
+
+@pytest.mark.parametrize("mname, aname, gamma", list(COVARIANCE_TABLE))
+def test_check_covariance_verdicts_and_defects(mname, aname, gamma):
+    ok, defect = check_covariance(builtin_model(mname, gamma), builtin_action(aname))
+    assert (bool(ok), defect) == COVARIANCE_TABLE[(mname, aname, gamma)]
