@@ -24,6 +24,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import platform
 import sys
 import time
@@ -148,8 +149,8 @@ def _normalize_model(spec, path) -> dict:
         gammas = [gammas]
     out = []
     for i, g in enumerate(gammas):
-        if not isinstance(g, (int, float)) or isinstance(g, bool):
-            _fail(f"{path}.gamma[{i}]", f"expected a number, got {g!r}")
+        if not isinstance(g, (int, float)) or isinstance(g, bool) or not math.isfinite(g):
+            _fail(f"{path}.gamma[{i}]", f"expected a finite number, got {g!r}")
         out.append(float(g))
     return {"name": name, "gamma": out}
 
@@ -180,6 +181,15 @@ def _normalize_geometry(spec, path, dimension: int) -> dict:
     return out
 
 
+def _reject_repeat(path: str, labels: list, field: str | None = None) -> None:
+    """Fail at ``path[i]`` (or at ``field``, when it caused the repeat) for
+    the first entry whose label an earlier entry already makes."""
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            _fail(field or f"{path}[{i}]", f"{path}[{i}] repeats {label!r} of "
+                  f"{path}[{labels.index(label)}], so both would write the same files")
+
+
 def validate_config(doc) -> dict:
     """Normalize a raw config document; raise ConfigError with field paths."""
     if not isinstance(doc, dict):
@@ -188,19 +198,23 @@ def validate_config(doc) -> dict:
     if "model" not in doc:
         _fail("model", "missing")
     cfg["model"] = _normalize_model(doc["model"], "model")
-    dimension = _model_instances(cfg["model"])[0][1].dimension
+    instances = _model_instances(cfg["model"])
+    _reject_repeat("model.gamma", [label for label, _ in instances])
+    dimension = instances[0][1].dimension
     geos = doc.get("geometry", {"kind": "bulk"})
     if not isinstance(geos, list):
         geos = [geos]
     cfg["geometry"] = [
         _normalize_geometry(g, f"geometry[{i}]", dimension) for i, g in enumerate(geos)
     ]
+    _reject_repeat("geometry", [_geometry_label(g) for g in cfg["geometry"]])
     tasks = doc.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         _fail("tasks", "expected a non-empty list")
     for i, t in enumerate(tasks):
         if t not in TASKS:
             _fail(f"tasks[{i}]", f"unknown task {t!r}; have {', '.join(TASKS)}")
+    _reject_repeat("tasks", tasks)
     cfg["tasks"] = list(tasks)
     solver = dict(DEFAULT_SOLVER)
     options = doc.get("solver") or {}
@@ -369,7 +383,7 @@ def _task_invariants(model, geometry, scans, outdir, label):
         out["bulk_gap"] = scans.gap(label, model, geometry)
         klass = MODEL_CLASS.get(model.name)
         if klass == "inversion":
-            parity_op = builtin_action("inversion").unitaries["g"]
+            parity_op = builtin_action("inversion").unitary
             out["trim"] = trim_parities(model, parity_op).to_dict()
     else:
         _fail("geometry", "no invariant defined for this model/geometry combination")
@@ -435,7 +449,7 @@ def _symmetry_report(model: HoppingModel, action: SymmetryAction) -> dict:
         "covariance_defect": float(cov_defect),
         "relations_ok": bool(rel_ok),
         "relation_defect": float(rel_defect),
-        "group_order": len(action.elements),
+        "group_order": action.order,
     }
 
 
@@ -870,6 +884,7 @@ def _cmd_run(args) -> int:
             for key in ("side", "depth"):
                 if key in g:
                     g[key] = size
+        _reject_repeat("geometry", [_geometry_label(g) for g in cfg["geometry"]], "--size")
     out = args.out or cfg.get("out") or f"out/{cfg.get('name') or 'run'}"
     summary = run_config(cfg, out)
     print(json.dumps(summary, indent=2, sort_keys=True, default=str))
@@ -929,6 +944,8 @@ def _cmd_transversal(args) -> int:
 
 
 def _cmd_check_symmetry(args) -> int:
+    if args.gamma is not None and not math.isfinite(args.gamma):
+        _fail("--gamma", f"expected a finite number, got {args.gamma!r}")
     if args.model in BUILTIN_MODELS:
         model = builtin_model(args.model, 0.5 if args.gamma is None else args.gamma)
     elif Path(args.model).is_file():

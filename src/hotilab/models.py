@@ -62,6 +62,8 @@ class HoppingModel:
             w = np.asarray(w, dtype=complex)
             if w.shape != (self.norb, self.norb):
                 raise ValueError(f"hopping at {d} has wrong shape {w.shape}")
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"hopping at {d} has a non-finite entry")
             if np.max(np.abs(w)) > 0:
                 clean[d] = w
         for d, w in clean.items():

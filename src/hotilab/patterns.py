@@ -17,21 +17,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
-import numpy as np
-
 from .fgab import (
     hermite_column_form,
     ieye,
     imat,
     integer_rank,
     kernel_basis,
-    smith_normal_form,
-    solve_integer,
 )
 
 __all__ = [
     "Pattern",
-    "PointGroupElement",
     "Transversal",
     "Filtration",
     "translate_limit",
@@ -378,55 +373,6 @@ def codimension_filtration(transversal: Transversal) -> Filtration:
     for a, b in zip(levels, levels[1:]):
         assert set(a) <= set(b)
     return Filtration(tuple(levels))
-
-
-# ---------------------------------------------------------------------------
-# point-group action
-
-@dataclass(frozen=True)
-class PointGroupElement:
-    """Integer lattice automorphism (|det| = 1)."""
-
-    matrix: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        m = imat([list(r) for r in self.matrix])
-        if m.shape[0] != m.shape[1]:
-            raise ValueError("matrix must be square")
-        _, d, _ = smith_normal_form(m)
-        det = 1
-        for i in range(m.shape[0]):
-            det *= int(d[i, i])
-        if det != 1:
-            raise ValueError("matrix is not a lattice automorphism (|det| != 1)")
-        object.__setattr__(
-            self, "matrix", tuple(tuple(int(x) for x in row) for row in self.matrix)
-        )
-
-    @classmethod
-    def identity(cls, dimension: int) -> "PointGroupElement":
-        return cls(tuple(
-            tuple(1 if i == j else 0 for j in range(dimension))
-            for i in range(dimension)
-        ))
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrix)
-
-    def apply(self, x) -> tuple[int, ...]:
-        return tuple(_dot(row, x) for row in self.matrix)
-
-    def inverse(self) -> "PointGroupElement":
-        m = imat([list(r) for r in self.matrix])
-        inv = solve_integer(m, ieye(m.shape[0]))
-        return PointGroupElement(tuple(tuple(int(x) for x in row) for row in inv))
-
-    def compose(self, other: "PointGroupElement") -> "PointGroupElement":
-        a = imat([list(r) for r in self.matrix])
-        b = imat([list(r) for r in other.matrix])
-        c = a @ b
-        return PointGroupElement(tuple(tuple(int(x) for x in row) for row in c))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Projective (twisted) symmetry actions on hopping models.
 
-An action assigns to each group element a point-group map on displacements,
-an orbital unitary, an antiunitary flag, and a chirality sign (whether it
-commutes or anticommutes with the Hamiltonian).  The U(1) cocycle is stored
-extensionally - computed from the actual unitaries, never assumed - so
-projective relations like (C4.T)^4 = -1 are facts about matrices, not inputs.
+A symmetry element acts by a point-group matrix S on displacements, an
+orbital unitary U, an antiunitary flag phi and a chirality flag c (whether it
+anticommutes with the Hamiltonian); ``Element`` is that record, shared by the
+named actions and the finder.  A named action is cyclic, given by its
+generator (S, U, phi, c): its powers and its U(1) cocycle (Freed & Moore's
+phi-twisted one) are derived from the matrices, never assumed, so projective
+relations like (C4.T)^4 = -1 are facts about matrices, not inputs.
 
 ``covariant_elements`` solves each element's orbital unitary from the model's
 hoppings, once per model content, and shares one defect routine with
@@ -17,11 +19,12 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import permutations, product
+from typing import NamedTuple
 
 import numpy as np
 
+from .fgab import ieye, imat
 from .models import Geometry, HoppingModel, s0, s1, s2, s3
-from .patterns import PointGroupElement
 
 __all__ = [
     "SymmetryAction",
@@ -56,87 +59,60 @@ def _scalar_ratio(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> complex:
     return complex(tau)
 
 
+class Element(NamedTuple):
+    """One symmetry element: x -> s x on displacements, u conj^anti on
+    orbitals, and the sign (-1)^chiral on the Hamiltonian."""
+
+    label: str
+    s: np.ndarray  # integer point-group matrix
+    u: np.ndarray
+    anti: int
+    chiral: int
+
+
 @dataclass
 class SymmetryAction:
-    """Finite twisted group action on a norb-orbital model in d dimensions."""
+    """Twisted action of Z_order generated by one element: ``unitary`` U on
+    orbitals, ``matrix`` S on displacements, conjugating when ``antiunitary``
+    and anticommuting with H when ``chiral``.  ``elements`` are the powers
+    e, g, g^2, ..., and ``cocycle`` maps a label pair (g^j, g^k) to tau with
+    U_j conj^phi_j(U_k) = tau U_(j+k mod order)."""
 
-    norb: int
-    dimension: int
-    elements: tuple[str, ...]
-    table: dict[tuple[str, str], str]
-    unitaries: dict[str, np.ndarray]
-    antiunitary: dict[str, int]
-    chirality: dict[str, int]
-    spatial: dict[str, PointGroupElement]
-    cocycle: dict[tuple[str, str], complex] = field(default_factory=dict)
+    order: int
+    unitary: np.ndarray
+    matrix: np.ndarray
+    antiunitary: bool = False
+    chiral: bool = False
     name: str = ""
+    elements: tuple[Element, ...] = field(init=False)
+    cocycle: dict[tuple[str, str], complex] = field(init=False)
 
     def __post_init__(self):
-        if len(self.elements) > MAX_GROUP_ORDER:
-            raise ValueError(f"group order capped at {MAX_GROUP_ORDER}")
-        e = self.identity
-        if np.max(np.abs(self.unitaries[e] - np.eye(self.norb))) > UNITARITY_TOL:
-            raise ValueError("identity element must carry the identity matrix")
-        if not self.cocycle:
-            for g in self.elements:
-                for h in self.elements:
-                    prod = self.unitaries[g] @ _maybe_conj(
-                        self.unitaries[h], self.antiunitary[g]
-                    )
-                    self.cocycle[(g, h)] = _scalar_ratio(
-                        prod, self.unitaries[self.table[(g, h)]]
-                    )
-
-    @property
-    def identity(self) -> str:
-        for g in self.elements:
-            if all(self.table[(g, h)] == h for h in self.elements):
-                return g
-        raise ValueError("no identity element in multiplication table")
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    @classmethod
-    def cyclic(
-        cls,
-        n: int,
-        unitary: np.ndarray,
-        spatial: PointGroupElement,
-        antiunitary: bool = False,
-        chirality: bool = False,
-        name: str = "",
-    ) -> "SymmetryAction":
-        """Action of Z_n generated by one element; powers are derived."""
-        unitary = np.asarray(unitary, dtype=complex)
-        norb = unitary.shape[0]
-        labels = ["e"] + [f"g{'^' + str(j) if j > 1 else ''}" for j in range(1, n)]
-        us = {labels[0]: np.eye(norb, dtype=complex)}
-        phis = {labels[0]: 0}
-        chis = {labels[0]: 0}
-        sps = {labels[0]: PointGroupElement.identity(spatial.dimension)}
+        n, anti, chiral = self.order, int(self.antiunitary), int(self.chiral)
+        if not 1 <= n <= MAX_GROUP_ORDER:
+            raise ValueError(f"group order {n} is outside 1..{MAX_GROUP_ORDER}, the cap")
+        self.unitary, self.matrix = np.array(self.unitary, dtype=complex), imat(self.matrix)
+        powers = [Element("e", ieye(self.dimension), np.eye(self.norb, dtype=complex), 0, 0)]
         for j in range(1, n):
-            us[labels[j]] = unitary @ _maybe_conj(us[labels[j - 1]], antiunitary)
-            phis[labels[j]] = (j * int(antiunitary)) % 2
-            chis[labels[j]] = (j * int(chirality)) % 2
-            sps[labels[j]] = spatial.compose(sps[labels[j - 1]])
-        table = {
-            (labels[j], labels[k]): labels[(j + k) % n]
-            for j in range(n)
-            for k in range(n)
+            prev = powers[-1]
+            powers.append(Element(f"g{'^' + str(j) if j > 1 else ''}", self.matrix @ prev.s,
+                                  self.unitary @ _maybe_conj(prev.u, anti),
+                                  (j * anti) % 2, (j * chiral) % 2))
+        if not np.array_equal(self.matrix @ powers[-1].s, powers[0].s):
+            raise ValueError(f"S^{n} is not the identity; not a point group of order {n}")
+        self.elements = tuple(powers)
+        self.cocycle = {
+            (g.label, h.label): _scalar_ratio(g.u @ _maybe_conj(h.u, g.anti), powers[(j + k) % n].u)
+            for j, g in enumerate(powers) for k, h in enumerate(powers)
         }
-        return cls(
-            norb=norb,
-            dimension=spatial.dimension,
-            elements=tuple(labels),
-            table=table,
-            unitaries=us,
-            antiunitary=phis,
-            chirality=chis,
-            spatial=sps,
-            name=name,
-        )
+
+    @property
+    def norb(self) -> int:
+        return self.unitary.shape[0]
+
+    @property
+    def dimension(self) -> int:
+        return self.matrix.shape[0]
 
 
 def verify_projective_relations(action: SymmetryAction, tol: float = 1e-9):
@@ -147,45 +123,34 @@ def verify_projective_relations(action: SymmetryAction, tol: float = 1e-9):
     tau(g,h) tau(gh,k) = tau(g,hk) tau(h,k)^sigma(g)  (sigma = conj if g is
     antiunitary), and that U_g conj^phi(g)(U_h) = tau(g,h) U_gh entrywise.
     """
+    els, n, tau = action.elements, action.order, action.cocycle
     defect = 0.0
-    for g in action.elements:
-        u = action.unitaries[g]
-        defect = max(defect, float(np.max(np.abs(u @ u.conj().T - np.eye(action.norb)))))
-    for g in action.elements:
-        for h in action.elements:
-            gh = action.table[(g, h)]
-            if (action.antiunitary[g] + action.antiunitary[h]) % 2 != action.antiunitary[gh]:
+    for g in els:
+        defect = max(defect, float(np.max(np.abs(g.u @ g.u.conj().T - np.eye(action.norb)))))
+    for j, g in enumerate(els):
+        for k, h in enumerate(els):
+            gh = els[(j + k) % n]
+            if (g.anti + h.anti) % 2 != gh.anti or (g.chiral + h.chiral) % 2 != gh.chiral:
                 return False, np.inf
-            if (action.chirality[g] + action.chirality[h]) % 2 != action.chirality[gh]:
+            if not np.array_equal(g.s @ h.s, gh.s):
                 return False, np.inf
-            sgh = action.spatial[g].compose(action.spatial[h])
-            if sgh.matrix != action.spatial[gh].matrix:
-                return False, np.inf
-            tau = action.cocycle[(g, h)]
-            defect = max(defect, abs(abs(tau) - 1.0))
-            prod = action.unitaries[g] @ _maybe_conj(
-                action.unitaries[h], action.antiunitary[g]
-            )
-            defect = max(
-                defect, float(np.max(np.abs(prod - tau * action.unitaries[gh])))
-            )
-    for g in action.elements:
-        sig = action.antiunitary[g]
-        for h in action.elements:
-            for k in action.elements:
-                lhs = action.cocycle[(g, h)] * action.cocycle[(action.table[(g, h)], k)]
-                thk = action.cocycle[(h, k)]
-                rhs = action.cocycle[(g, action.table[(h, k)])] * (
-                    thk.conjugate() if sig else thk
-                )
+            t, prod = tau[(g.label, h.label)], g.u @ _maybe_conj(h.u, g.anti)
+            defect = max(defect, abs(abs(t) - 1.0), float(np.max(np.abs(prod - t * gh.u))))
+    for j, g in enumerate(els):
+        for k, h in enumerate(els):
+            for m, f in enumerate(els):
+                lhs = tau[(g.label, h.label)] * tau[(els[(j + k) % n].label, f.label)]
+                thf = tau[(h.label, f.label)]
+                rhs = tau[(g.label, els[(k + m) % n].label)] * (thf.conjugate() if g.anti else thf)
                 defect = max(defect, abs(lhs - rhs))
     return defect <= tol, defect
 
 
-def _element_defect(model: HoppingModel, s: np.ndarray, u: np.ndarray, anti: int, chiral: int) -> float:
-    """Max entry of U conj^anti(w(d)) U^-1 - (-1)^chiral w(s d) over d where either is nonzero."""
-    zero, sign = np.zeros((model.norb, model.norb), dtype=complex), -1.0 if chiral else 1.0
-    lhs = {tuple((s @ d).tolist()): u @ _maybe_conj(w, anti) @ u.conj().T for d, w in model.hoppings.items()}
+def _element_defect(model: HoppingModel, el: Element) -> float:
+    """Max entry of U conj^anti(w(d)) U^-1 - (-1)^chiral w(S d) over d where either is nonzero."""
+    zero, sign, u = np.zeros((model.norb, model.norb), dtype=complex), -1.0 if el.chiral else 1.0, el.u
+    lhs = {tuple((el.s @ d).tolist()): u @ _maybe_conj(w, el.anti) @ u.conj().T
+           for d, w in model.hoppings.items()}
     return max((float(np.max(np.abs(lhs.get(d, zero) - sign * model.hoppings.get(d, zero))))
                 for d in lhs.keys() | model.hoppings.keys()), default=0.0)
 
@@ -200,8 +165,7 @@ def check_covariance(
     """
     if model.dimension != action.dimension or model.norb != action.norb:
         raise ValueError("model/action shape mismatch")
-    defect = max(_element_defect(model, np.array(action.spatial[g].matrix), action.unitaries[g],
-                                 action.antiunitary[g], action.chirality[g]) for g in action.elements)
+    defect = max(_element_defect(model, el) for el in action.elements)
     return defect <= tol, defect
 
 
@@ -228,7 +192,7 @@ class CovariantElement:
 
 
 def _solved_elements(model: HoppingModel) -> tuple:
-    """(S, U, anti, chiral, label) per signed axis permutation S that maps the
+    """An ``Element`` per signed axis permutation S that maps the
     hopping displacements onto themselves, antiunitary flag and (graded models)
     chiral flag whose equation U conj^anti(w(delta)) = (-1)^chiral w(S delta) U
     has a solution within ``COVARIANCE_TOL``: U is the polar factor of a seeded
@@ -252,15 +216,15 @@ def _solved_elements(model: HoppingModel) -> tuple:
                 rows = (eye[:, None, :, None] * m.swapaxes(1, 2)[:, None, :, None, :]
                         - t[:, :, None, :, None] * eye[None, :, None, :]).reshape(-1, n * n)
                 grams.append(rows.conj().T @ rows)
-                candidates.append((s, anti, chiral, f"S=({name}),anti={anti},chiral={chiral}"))
-        for (s, anti, chiral, label), lam, vecs in zip(candidates, *np.linalg.eigh(np.array(grams))):
+                candidates.append((f"S=({name}),anti={anti},chiral={chiral}", s, anti, chiral))
+        for (label, s, anti, chiral), lam, vecs in zip(candidates, *np.linalg.eigh(np.array(grams))):
             null = vecs[:, lam <= 1e-12 * lam[-1]]
             x = null @ (rng.normal(size=null.shape[1]) + 1j * rng.normal(size=null.shape[1]))
             left, _, right = np.linalg.svd(x.reshape(n, n))
-            u = left @ right
-            if null.shape[1] and _element_defect(model, s, u, anti, chiral) <= COVARIANCE_TOL:
-                u.flags.writeable = False  # shared by every call for this content
-                solved.append((s, u, anti, chiral, label))
+            el = Element(label, s, left @ right, anti, chiral)
+            if null.shape[1] and _element_defect(model, el) <= COVARIANCE_TOL:
+                el.u.flags.writeable = False  # shared by every call for this content
+                solved.append(el)
         _SOLVED[key] = tuple(solved)
     return _SOLVED[key]
 
@@ -274,7 +238,7 @@ def covariant_elements(model: HoppingModel, geometry: Geometry) -> Iterator[Cova
     opens, periodic = list(geometry.open_dirs), list(geometry.periodic_dirs)
     shape, strides, lookup = geometry.box_lookup()
     sites = geometry.site_array()[:, opens]
-    for s, u, anti, chiral, label in _solved_elements(model):
+    for label, s, u, anti, chiral in _solved_elements(model):
         s_open = s[np.ix_(opens, opens)]
         if s[np.ix_(opens, periodic)].any() or s[np.ix_(periodic, opens)].any():
             continue
@@ -305,20 +269,18 @@ def symmetrize(model: HoppingModel, action: SymmetryAction) -> HoppingModel:
     """
     if model.dimension != action.dimension or model.norb != action.norb:
         raise ValueError("model/action shape mismatch")
+    els, n = action.elements, action.order
     deltas = set(model.hoppings)
-    for g in action.elements:
-        deltas |= {
-            action.spatial[g].inverse().apply(d) for d in set(model.hoppings)
-        }
+    for j in range(n):  # S_g^-1 = S^(n - j) for g = g^j
+        deltas |= {tuple((els[-j].s @ d).tolist()) for d in set(model.hoppings)}
     zero = np.zeros((model.norb, model.norb), dtype=complex)
     out = {}
     for d in deltas:
         acc = np.zeros((model.norb, model.norb), dtype=complex)
-        for g in action.elements:
-            u = action.unitaries[g]
-            w = model.hoppings.get(action.spatial[g].apply(d), zero)
-            term = _maybe_conj(u.conj().T @ w @ u, action.antiunitary[g])
-            acc += -term if action.chirality[g] else term
+        for g in els:
+            w = model.hoppings.get(tuple((g.s @ d).tolist()), zero)
+            term = _maybe_conj(g.u.conj().T @ w @ g.u, g.anti)
+            acc += -term if g.chiral else term
         out[d] = acc / action.order
     return HoppingModel(
         model.dimension, model.norb, out, chirality=model.chirality,
@@ -348,6 +310,4 @@ def builtin_action(name: str) -> SymmetryAction:
     """A new action built from the named row of the built-in table."""
     if name not in _ACTION_TABLE:
         raise KeyError(f"unknown action {name!r}; have {BUILTIN_ACTIONS}")
-    order, unitary, matrix, antiunitary, chiral = _ACTION_TABLE[name]
-    return SymmetryAction.cyclic(order, unitary, PointGroupElement(matrix),
-                                 antiunitary, chiral, name)
+    return SymmetryAction(*_ACTION_TABLE[name], name)

@@ -375,7 +375,7 @@ def test_symmetry_actions_and_idempotent_projection():
         )
         ok &= report(f"{mname} is {aname}-covariant at 1e-12", covariant, f"defect {defect:.1e}")
     a = builtin_action("C4T")
-    u = a.unitaries["g"]
+    u = a.unitary
     fourth = np.linalg.matrix_power(u @ u.conj(), 2)  # (gT)^4 as a matrix
     ok &= report(
         "fourfold antiunitary generator has fourth power -1",

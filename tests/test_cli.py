@@ -85,6 +85,49 @@ def test_scalar_gamma_and_single_geometry_accepted():
     assert isinstance(cfg["geometry"], list)
 
 
+@pytest.mark.parametrize("gamma, field", [
+    ([0.5, float("nan")], "model.gamma[1]"),
+    (float("inf"), "model.gamma[0]"),
+], ids=["nan", "inf"])
+def test_non_finite_gamma_rejected(gamma, field):
+    with pytest.raises(ConfigError) as err:
+        validate_config(tiny_config(model={"name": "ham1", "gamma": gamma}))
+    assert err.value.errors[0][0] == field
+
+
+def test_non_finite_custom_model_exits_two(tmp_path, capsys):
+    # Python's json reads NaN; a model holding it is no model at model.custom
+    path = tmp_path / "cfg.json"
+    path.write_text('{"model": {"custom": {"model": "ham1", "gamma": NaN}}, '
+                    '"geometry": {"kind": "bulk"}, "tasks": ["invariants"]}')
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error at model.custom:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, field", [
+    ({"model": {"name": "chiral-quarter-uC", "gamma": [0.5, 0.0]},
+      "geometry": [{"kind": "quarter", "side": 8}]}, "model.gamma[1]"),
+    ({"model": {"name": "ham1", "gamma": [0.5, 0.0, 0.5]}}, "model.gamma[2]"),
+    ({"geometry": [{"kind": "wire", "side": 6}, {"kind": "bulk"}, {"kind": "wire", "side": 6}]},
+     "geometry[2]"),
+    ({"tasks": ["bands", "bands"]}, "tasks[1]"),
+], ids=["chiral-gammas", "gamma", "geometry", "task"])
+def test_a_repeated_panel_is_rejected_at_its_entry(overrides, field):
+    # both entries would write the same files under one label
+    with pytest.raises(ConfigError) as err:
+        validate_config(tiny_config(**overrides))
+    assert err.value.errors[0][0] == field
+
+
+def test_a_size_override_that_repeats_a_panel_exits_two(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(
+        geometry=[{"kind": "wire", "side": 6}, {"kind": "wire", "side": 8}])))
+    assert main(["run", str(cfg_path), "--size", "5", "--out", str(tmp_path / "out")]) == 2
+    assert "config error at --size: geometry[1] repeats 'wire5'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # config hash
 
@@ -428,6 +471,14 @@ def test_check_symmetry_subcommand(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert not rep["covariant"]  # gamma term breaks bare time reversal
     assert main(["check-symmetry", "ham1", "Q8"]) == 2
+
+
+@pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+def test_check_symmetry_rejects_a_non_finite_gamma(capsys, gamma):
+    # a non-finite gamma would otherwise drop ham1's onsite mass and print a verdict
+    assert main(["check-symmetry", "ham1", "inversion", f"--gamma={gamma}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "config error at --gamma:" in captured.err
 
 
 @pytest.mark.parametrize("doc, argv", [

@@ -92,6 +92,16 @@ def test_non_adjoint_reverse_rejected():
         HoppingModel(1, 1, {(1,): [[1.0]], (-1,): [[2.0]]})
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.nan)])
+def test_non_finite_hopping_rejected(bad):
+    # NaN fails every comparison, so it must not read as a zero hopping
+    with pytest.raises(ValueError, match="non-finite"):
+        HoppingModel(1, 1, {(0,): [[bad]]})
+    if np.isreal(bad):  # a non-finite gamma would otherwise drop ham1's onsite mass
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(invalid="ignore"):
+            builtin_model("ham1", float(np.real(bad)))
+
+
 def test_geometry_site_ordering_and_counts():
     g = quarter_geometry(4)
     s = g.sites()

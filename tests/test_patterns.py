@@ -8,7 +8,6 @@ import pytest
 
 from hotilab.patterns import (
     Pattern,
-    PointGroupElement,
     builtin_seeds,
     codimension_filtration,
     cube_seeds,
@@ -244,16 +243,6 @@ def test_builtin_seeds():
     assert len(builtin_seeds("cube")) == 8
     with pytest.raises(KeyError):
         builtin_seeds("dodecahedron")
-
-
-# ---------------------------------------------------------------------------
-# point group action
-
-
-def test_point_group_validation():
-    with pytest.raises(ValueError):
-        PointGroupElement(((2, 0), (0, 1)))
-    PointGroupElement(((0, -1), (1, 0)))  # fourfold rotation is fine
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from hotilab.models import (
     slab_geometry,
     wire_geometry,
 )
-from hotilab.patterns import PointGroupElement
 from hotilab.symmetry import (
     BUILTIN_ACTIONS,
     COVARIANCE_TOL,
@@ -70,7 +69,7 @@ def test_c4t_fourth_power_is_minus_one():
             tau = a.cocycle[(labels[j], labels[k])]
             want = -1.0 if j + k >= 4 else 1.0
             assert abs(tau - want) < 1e-9, (j, k, tau)
-    assert all(a.antiunitary[labels[j]] == j % 2 for j in range(4))
+    assert all(a.elements[j].anti == j % 2 for j in range(4))
 
 
 def test_unitary_symmetries_have_trivial_cocycle():
@@ -117,22 +116,22 @@ def test_symmetrize_fixes_covariant_model():
 
 def test_symmetrize_group_order_cap():
     with pytest.raises(ValueError, match="cap"):
-        SymmetryAction.cyclic(
-            1025, np.eye(1, dtype=complex), PointGroupElement.identity(1)
-        )
+        SymmetryAction(1025, np.eye(1, dtype=complex), ((1,),))
 
 
 def test_non_projective_matrices_rejected():
-    # doctor one unitary so products stop being proportional to table entries
+    # a doctored generator whose square is no scalar: g^2 is not proportional to e
     a = builtin_action("inversion")
-    bad = dict(a.unitaries)
-    bad["g"] = np.diag([1.0, 1.0, 1.0, 1.0 + 1e-3]).astype(complex)
+    bad = np.diag([1.0, 1.0, 1.0, 1.0 + 1e-3]).astype(complex)
     with pytest.raises(ValueError, match="proportional"):
-        SymmetryAction(
-            norb=a.norb, dimension=a.dimension, elements=a.elements,
-            table=a.table, unitaries=bad, antiunitary=a.antiunitary,
-            chirality=a.chirality, spatial=a.spatial,
-        )
+        SymmetryAction(a.order, bad, a.matrix)
+
+
+def test_point_group_validation():
+    # S = diag(2, 1) is no lattice automorphism (|det| = 2): no power is 1
+    with pytest.raises(ValueError):
+        SymmetryAction(2, np.eye(1, dtype=complex), ((2, 0), (0, 1)))
+    SymmetryAction(4, np.eye(1, dtype=complex), ((0, -1), (1, 0)))  # fourfold rotation is fine
 
 
 def test_covariance_detects_broken_model():
@@ -240,7 +239,7 @@ def test_covariant_elements_builds_no_action(monkeypatch):
 
     monkeypatch.setattr(symmetry, "_ACTION_TABLE", {})
     monkeypatch.setattr(symmetry, "builtin_action", no_build)
-    monkeypatch.setattr(SymmetryAction, "cyclic", classmethod(no_build))
+    monkeypatch.setattr(SymmetryAction, "__post_init__", no_build)
     geo = slab_geometry(3, 0, 20)
     first = list(covariant_elements(builtin_model("ham2", 0.37), geo))
     assert "S=(-x,-y,z),anti=1,chiral=0" in [el.label for el in first]
@@ -256,9 +255,9 @@ def test_covariant_elements_builds_no_action(monkeypatch):
 
 def test_builtin_action_is_a_new_object_every_call():
     a, b = builtin_action("inversion"), builtin_action("inversion")
-    assert a is not b and a.unitaries["g"] is not b.unitaries["g"]
-    a.unitaries["g"][:] = 0
-    assert np.array_equal(builtin_action("inversion").unitaries["g"], b.unitaries["g"])
+    assert a is not b and a.unitary is not b.unitary
+    a.unitary[:] = 0
+    assert np.array_equal(builtin_action("inversion").unitary, b.unitary)
 
 
 def test_ham2_bulk_has_its_inversion():
@@ -332,3 +331,22 @@ COVARIANCE_TABLE = {
 def test_check_covariance_verdicts_and_defects(mname, aname, gamma):
     ok, defect = check_covariance(builtin_model(mname, gamma), builtin_action(aname))
     assert (bool(ok), defect) == COVARIANCE_TABLE[(mname, aname, gamma)]
+
+
+# verify_projective_relations' (verdict, defect) and the group order of every
+# built-in action
+RELATIONS_TABLE = {
+    "inversion": (True, 0.0, 2),
+    "C2T": (True, 0.0, 2),
+    "C4T": (True, 8.881784197001252e-16, 4),
+    "T": (True, 0.0, 2),
+    "chiral": (True, 0.0, 2),
+    "mirror-diagonal": (True, 0.0, 2),
+}
+
+
+@pytest.mark.parametrize("aname", list(RELATIONS_TABLE))
+def test_relation_verdicts_and_defects(aname):
+    a = builtin_action(aname)
+    ok, defect = verify_projective_relations(a)
+    assert (bool(ok), defect, a.order) == RELATIONS_TABLE[aname]
