@@ -54,7 +54,6 @@ from .ktheory import (
 )
 from .models import (
     BUILTIN_MODELS,
-    Geometry,
     HoppingModel,
     builtin_model,
     bulk_geometry,
@@ -94,7 +93,6 @@ from .symmetry import (
 )
 
 REPRODUCE_IDS = ("model1", "model2", "model3", "hinge-modes", "chiral-quarter")
-GEOMETRY_KINDS = ("bulk", "slab", "slab-yz", "slab-xz", "slab-xy", "wire", "cube", "quarter")
 
 # desk-scale defaults: full suite fits in tens of minutes on a workstation
 DEFAULT_SOLVER = {
@@ -105,6 +103,20 @@ DEFAULT_SOLVER = {
     "bulk_grid": 16,     # momentum grid for bulk gap scans
 }
 DEFAULT_SIZES = {"wire": 28, "cube": 16, "slab": 30, "quarter": 24}
+
+# the strata a panel is cut to, kind -> (size field, its DEFAULT_SIZES key,
+# the model dimensions d it fits, builder from (d, normalized spec)); the
+# generic slab also has a direction
+GEOMETRY_KINDS = {
+    "bulk": (None, None, lambda d: d > 0, lambda d, g: bulk_geometry(d)),
+    "slab": ("depth", "slab", lambda d: d > 0, lambda d, g: slab_geometry(d, g["direction"], g["depth"])),
+    "slab-yz": ("depth", "slab", lambda d: d > 0, lambda d, g: slab_geometry(d, 0, g["depth"])),
+    "slab-xz": ("depth", "slab", lambda d: d > 1, lambda d, g: slab_geometry(d, 1, g["depth"])),
+    "slab-xy": ("depth", "slab", lambda d: d > 2, lambda d, g: slab_geometry(d, 2, g["depth"])),
+    "wire": ("side", "wire", lambda d: d >= 3, lambda d, g: wire_geometry(d, g["side"])),
+    "cube": ("side", "cube", lambda d: d == 3, lambda d, g: cube_geometry(g["side"])),
+    "quarter": ("side", "quarter", lambda d: d >= 2, lambda d, g: quarter_geometry(g["side"], d)),
+}
 
 # symmetry class each built-in model is protected by
 MODEL_CLASS = {"ham1": "inversion", "ham2": "C2T", "ham3": "C4T"}
@@ -162,22 +174,18 @@ def _normalize_geometry(spec, path, dimension: int) -> dict:
     if not isinstance(spec, dict):
         _fail(path, "expected an object")
     kind = spec.get("kind")
-    if kind not in GEOMETRY_KINDS:
+    if kind not in tuple(GEOMETRY_KINDS):  # a JSON list or object is unknown, not unhashable
         _fail(f"{path}.kind", f"unknown kind {kind!r}; have {', '.join(GEOMETRY_KINDS)}")
-    # a slab-yz/xz/xy needs the model to have its normal direction
-    fits = {"wire": dimension >= 3, "cube": dimension == 3, "quarter": dimension >= 2}
-    if not fits.get(kind, dimension > SLAB_DIRECTIONS.get(kind, 0)):
+    size, default, fits, _ = GEOMETRY_KINDS[kind]
+    if not fits(dimension):
         _fail(f"{path}.kind", f"a {kind} geometry does not fit a {dimension}D model")
     out = {"kind": kind}
     if kind == "slab":
         out["direction"] = _check_int(spec.get("direction", 0), f"{path}.direction", minimum=0)
         if out["direction"] >= dimension:
             _fail(f"{path}.direction", f"expected a direction below {dimension}, the model dimension")
-        out["depth"] = _check_int(spec.get("depth", DEFAULT_SIZES["slab"]), f"{path}.depth")
-    elif kind.startswith("slab-"):
-        out["depth"] = _check_int(spec.get("depth", DEFAULT_SIZES["slab"]), f"{path}.depth")
-    elif kind in ("wire", "cube", "quarter"):
-        out["side"] = _check_int(spec.get("side", DEFAULT_SIZES[kind]), f"{path}.side")
+    if size:
+        out[size] = _check_int(spec.get(size, DEFAULT_SIZES[default]), f"{path}.{size}")
     return out
 
 
@@ -241,53 +249,33 @@ def config_hash(cfg: dict) -> str:
 # panels: one (model instance, geometry) pair per combination
 
 
+def _gamma_text(g: float) -> str:
+    """``g`` to 6 significant digits, or whole when those do not read back as ``g``."""
+    return f"{g:g}" if float(f"{g:g}") == g else repr(g)
+
+
 def _model_instances(mspec: dict) -> list:
     """(label, model) for each gamma of a built-in model, or the custom one."""
     if "custom" in mspec:
         return [(mspec["label"], model_from_dict(mspec["custom"]))]
     name = mspec["name"]
     return [
-        (f"{name}-g{g:g}" if name in MODEL_CLASS else name, builtin_model(name, g))
+        (f"{name}-g{_gamma_text(g)}" if name in MODEL_CLASS else name, builtin_model(name, g))
         for g in mspec["gamma"]
     ]
 
 
 def _geometry_spec(kind: str, sizes: dict) -> dict:
-    """A geometry of ``kind`` at the given sizes (slab depth, wire/cube/quarter side)."""
-    if kind.startswith("slab-"):
-        return {"kind": kind, "depth": sizes["slab"]}
-    return {"kind": kind, "side": sizes[kind]} if kind in sizes else {"kind": kind}
+    """A geometry of ``kind`` at the given sizes (keyed like `DEFAULT_SIZES`)."""
+    size, default = GEOMETRY_KINDS[kind][:2]
+    return {"kind": kind, size: sizes[default]} if size else {"kind": kind}
 
 
 def _geometry_label(gspec: dict) -> str:
-    kind = gspec["kind"]
+    kind, size = gspec["kind"], GEOMETRY_KINDS[gspec["kind"]][0]
     if kind == "slab":
         return f"slab{gspec['direction']}x{gspec['depth']}"
-    if kind.startswith("slab-"):
-        return f"{kind}{gspec['depth']}"
-    if kind == "bulk":
-        return "bulk"
-    return f"{kind}{gspec['side']}"
-
-
-SLAB_DIRECTIONS = {"slab-yz": 0, "slab-xz": 1, "slab-xy": 2}
-
-
-def _make_geometry(gspec: dict, dimension: int) -> Geometry:
-    kind = gspec["kind"]
-    if kind == "bulk":
-        return bulk_geometry(dimension)
-    if kind == "slab":
-        return slab_geometry(dimension, gspec["direction"], gspec["depth"])
-    if kind in SLAB_DIRECTIONS:
-        return slab_geometry(dimension, SLAB_DIRECTIONS[kind], gspec["depth"])
-    if kind == "wire":
-        return wire_geometry(dimension, gspec["side"])
-    if kind == "cube":
-        return cube_geometry(gspec["side"])
-    if kind == "quarter":
-        return quarter_geometry(gspec["side"], dimension)
-    raise KeyError(kind)
+    return f"{kind}{gspec[size]}" if size else kind
 
 
 def _panels(cfg: dict):
@@ -298,7 +286,8 @@ def _panels(cfg: dict):
 
 
 def _panel(mlabel: str, model: HoppingModel, gspec: dict):
-    return f"{mlabel}-{_geometry_label(gspec)}", model, _make_geometry(gspec, model.dimension)
+    build = GEOMETRY_KINDS[gspec["kind"]][3]
+    return f"{mlabel}-{_geometry_label(gspec)}", model, build(model.dimension, gspec)
 
 
 # ---------------------------------------------------------------------------
@@ -401,40 +390,32 @@ TASKS = tuple(RUNNERS)
 # reports of the `transversal` and `check-symmetry` subcommands
 
 
-def _normalize_transversal(opts) -> dict:
-    """The options of a `transversal` JSON file: seed patterns or a seed set."""
-    if not isinstance(opts, dict):
+def _transversal_seeds(doc) -> tuple[str, list]:
+    """(name, seed patterns) of a `transversal` JSON file: ``patterns`` of
+    one dimension (named ``custom``), or a built-in ``seeds`` set."""
+    if not isinstance(doc, dict):
         _fail("transversal", "expected an object")
-    if "patterns" in opts:
-        try:
-            dims = {pattern_from_dict(p).dimension for p in opts["patterns"]}
-        except Exception as e:
-            _fail("transversal.patterns", f"not valid patterns ({e})")
-        if len(dims) != 1:
-            _fail("transversal.patterns", "expected a non-empty list of patterns of one dimension")
-        return {"patterns": opts["patterns"]}
-    seeds = opts.get("seeds")
-    if seeds not in BUILTIN_SEEDS:
-        _fail("transversal.seeds", f"unknown seed set {seeds!r}")
-    return {"seeds": seeds}
+    if "patterns" not in doc:
+        name = doc.get("seeds")
+        if name not in BUILTIN_SEEDS:
+            _fail("transversal.seeds", f"unknown seed set {name!r}")
+        return name, builtin_seeds(name)
+    try:
+        seeds = [pattern_from_dict(p) for p in doc["patterns"]]
+    except Exception as e:
+        _fail("transversal.patterns", f"not valid patterns ({e})")
+    if len({p.dimension for p in seeds}) != 1:
+        _fail("transversal.patterns", "expected a non-empty list of patterns of one dimension")
+    return "custom", seeds
 
 
-def _transversal_report(options) -> dict:
-    if "patterns" in options:
-        seeds = [pattern_from_dict(p) for p in options["patterns"]]
-        name = "custom"
-    else:
-        name = options["seeds"]
-        seeds = builtin_seeds(name)
+def _transversal_report(name: str, seeds: list) -> dict:
     tr = global_transversal(seeds)
-    filt = codimension_filtration(tr)
     return {
         "seeds": name,
         "classes": len(tr),
-        "by_codimension": {
-            str(c): len(ps) for c, ps in tr.by_codimension().items()
-        },
-        "filtration_sizes": list(filt.sizes),
+        "by_codimension": {str(c): len(ps) for c, ps in tr.by_codimension().items()},
+        "filtration_sizes": list(codimension_filtration(tr).sizes),
         "patterns": [pattern_to_dict(p) for p in tr.patterns],
     }
 
@@ -785,13 +766,8 @@ def reproduce(rid: str, out_dir, solver=None, sizes=None) -> dict:
     scans = Scans(solver, sizes, outdir)
     if rid in REPRODUCE_BANDS:
         model, kinds = REPRODUCE_BANDS[rid]
-        cfg = {
-            "name": rid,
-            "model": model,
-            "geometry": [_geometry_spec(kind, sizes) for kind in kinds],
-            "tasks": ["bands"],
-            "solver": solver,
-        }
+        cfg = {"name": rid, "model": model, "tasks": ["bands"], "solver": solver,
+               "geometry": [_geometry_spec(kind, sizes) for kind in kinds]}
         run_config(validate_config(cfg), outdir, scans)
     claims = [evaluate(c, scans) for c in CLAIMS if c.reproduce == rid]
     summary = {
@@ -859,12 +835,7 @@ def _apply_overrides(solver: dict, args) -> int | None:
 def _fail_payload(task: str, exc: BaseException) -> dict:
     tb = traceback.extract_tb(exc.__traceback__)
     module = tb[-1].filename.rsplit("/", 1)[-1] if tb else "unknown"
-    return {
-        "task": task,
-        "module": module,
-        "error_type": type(exc).__name__,
-        "message": str(exc),
-    }
+    return {"task": task, "module": module, "error_type": type(exc).__name__, "message": str(exc)}
 
 
 def _load_json(path, field):
@@ -875,15 +846,41 @@ def _load_json(path, field):
         _fail(field, f"cannot read JSON from {path} ({e})")
 
 
+def _named_or_file(arg: str, field: str, names: tuple, nouns: tuple, build, parse):
+    """``build(arg)`` when ``arg`` is one of the built-in ``names``, else
+    ``parse`` of the JSON document in the file ``arg``.  An unknown name
+    that is no file, or a file that cannot be read or parsed, fails at
+    ``field``; ``nouns`` name a built-in and a file's content."""
+    if arg in names:
+        return build(arg)
+    if not Path(arg).is_file():
+        _fail(field, f"unknown {nouns[0]} {arg!r} and no such file; have {', '.join(names)}")
+    doc = _load_json(arg, field)
+    try:
+        return parse(doc)
+    except ConfigError:
+        raise
+    except Exception as e:
+        _fail(field, f"not a valid {nouns[1]} in {arg} ({e})")
+
+
+def _report(out, name: str, rep: dict, printed: dict | None = None) -> int:
+    """Print ``printed`` (the report itself by default) as sorted JSON, and
+    write the report to ``out/name`` when ``--out`` is given."""
+    print(json.dumps(rep if printed is None else printed, indent=2, sort_keys=True))
+    if out:
+        Path(out).mkdir(parents=True, exist_ok=True)
+        _write_json(Path(out) / name, rep)
+    return 0
+
+
 def _cmd_run(args) -> int:
-    doc = _load_json(args.config, "config")
-    cfg = validate_config(doc)
+    cfg = validate_config(_load_json(args.config, "config"))
     size = _apply_overrides(cfg["solver"], args)
     if size is not None:
         for g in cfg["geometry"]:
-            for key in ("side", "depth"):
-                if key in g:
-                    g[key] = size
+            if field := GEOMETRY_KINDS[g["kind"]][0]:
+                g[field] = size
         _reject_repeat("geometry", [_geometry_label(g) for g in cfg["geometry"]], "--size")
     out = args.out or cfg.get("out") or f"out/{cfg.get('name') or 'run'}"
     summary = run_config(cfg, out)
@@ -906,59 +903,31 @@ def _cmd_reproduce(args) -> int:
 
 
 def _cmd_kss(args) -> int:
-    if args.which in PRESET_NAMES:
-        cd = preset_cofiltration(args.which)
-    elif Path(args.which).is_file():
-        doc = _load_json(args.which, "kss")
-        try:
-            cd = cofiltration_from_dict(doc)
-        except Exception as e:
-            _fail("kss", f"not a valid cofiltration in {args.which} ({e})")
-    else:
-        _fail("kss", f"unknown preset {args.which!r} and no such file")
-    rep = couple_report(cd)
-    text = json.dumps(rep, indent=2, sort_keys=True)
-    print(text)
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / f"kss-{cd.name or 'custom'}.json").write_text(text + "\n")
-    return 0
+    cd = _named_or_file(args.which, "kss", PRESET_NAMES, ("preset", "cofiltration"),
+                        preset_cofiltration, cofiltration_from_dict)
+    return _report(args.out, f"kss-{cd.name or 'custom'}.json", couple_report(cd))
 
 
 def _cmd_transversal(args) -> int:
-    if args.which in BUILTIN_SEEDS:
-        options = {"seeds": args.which}
-    elif Path(args.which).is_file():
-        options = _normalize_transversal(_load_json(args.which, "transversal"))
-    else:
-        _fail("transversal", f"unknown seed set {args.which!r} and no such file")
-    rep = _transversal_report(options)
+    name, seeds = _named_or_file(args.which, "transversal", BUILTIN_SEEDS, ("seed set", "seed file"),
+                                 lambda n: (n, builtin_seeds(n)), _transversal_seeds)
+    rep = _transversal_report(name, seeds)
     brief = {k: rep[k] for k in ("seeds", "classes", "by_codimension", "filtration_sizes")}
-    print(json.dumps(brief, indent=2, sort_keys=True))
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / f"transversal-{rep['seeds']}.json", rep)
-    return 0
+    return _report(args.out, f"transversal-{name}.json", rep, brief)
 
 
 def _cmd_check_symmetry(args) -> int:
     if args.gamma is not None and not math.isfinite(args.gamma):
         _fail("--gamma", f"expected a finite number, got {args.gamma!r}")
-    if args.model in BUILTIN_MODELS:
-        model = builtin_model(args.model, 0.5 if args.gamma is None else args.gamma)
-    elif Path(args.model).is_file():
+
+    def from_file(doc) -> HoppingModel:
         if args.gamma is not None:
             _fail("--gamma", "applies to a built-in model name; a model file sets its own")
-        doc = _load_json(args.model, "model")
-        try:
-            model = model_from_dict(doc)
-        except Exception as e:
-            _fail("model", f"not a valid model description in {args.model} ({e})")
-    else:
-        _fail("model", f"unknown model {args.model!r} and no such file; "
-              f"have {', '.join(BUILTIN_MODELS)}")
+        return model_from_dict(doc)
+
+    model = _named_or_file(args.model, "model", BUILTIN_MODELS, ("model", "model description"),
+                           lambda n: builtin_model(n, 0.5 if args.gamma is None else args.gamma),
+                           from_file)
     if args.action not in BUILTIN_ACTIONS:
         _fail("action", f"unknown action {args.action!r}; have {', '.join(BUILTIN_ACTIONS)}")
     action = builtin_action(args.action)
@@ -966,23 +935,13 @@ def _cmd_check_symmetry(args) -> int:
         _fail("action", f"{args.action} acts on {action.dimension}D models with {action.norb} "
               f"orbitals; {model.name or 'the model'} is {model.dimension}D with {model.norb}")
     rep = _symmetry_report(model, action)
-    print(json.dumps(rep, indent=2, sort_keys=True))
-    if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / f"symmetry-{model.name or 'custom'}-{args.action}.json", rep)
-    return 0
+    return _report(args.out, f"symmetry-{model.name or 'custom'}-{args.action}.json", rep)
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "reproduce": _cmd_reproduce,
-        "kss": _cmd_kss,
-        "transversal": _cmd_transversal,
-        "check-symmetry": _cmd_check_symmetry,
-    }
+    handlers = {"run": _cmd_run, "reproduce": _cmd_reproduce, "kss": _cmd_kss,
+                "transversal": _cmd_transversal, "check-symmetry": _cmd_check_symmetry}
     try:
         return handlers[args.command](args)
     except ConfigError as e:

@@ -393,6 +393,8 @@ BUILTIN_MODELS = ("ham1", "ham2", "ham3", "chiral-quarter-uC", "chiral-quarter-u
 
 def builtin_model(name: str, gamma: float = 0.5) -> HoppingModel:
     """Named model; ``gamma`` scales the symmetry-selecting perturbation."""
+    if not np.isfinite(gamma):
+        raise ValueError(f"non-finite gamma {gamma!r}")
     if name == "ham1":
         return _ham1(gamma)
     if name == "ham2":

@@ -155,12 +155,15 @@ def near_zero_states(h, nev: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray
     ``DENSE_CUTOFF`` (or when nearly the whole spectrum is asked for),
     above it the shift-invert solver ``folded_near_zero`` (named for the
     folded H^2 route it replaced); both return the ``nev`` pairs nearest
-    zero, sorted by energy.  The cutoff is read at call time, so a test
-    can lower it to force the sparse route on a small matrix."""
+    zero, sorted by energy, and raise unless each pair's residual is within
+    ``RESIDUAL_FACTOR`` of a norm bound of H.  The cutoff is read at call
+    time, so a test can lower it to force the sparse route on a small matrix."""
     n = h.shape[0]
-    if n <= DENSE_CUTOFF or nev >= n - 1:
-        return _window(*dense_eigh(h), nev)
-    return folded_near_zero(h, nev, seed=seed)
+    if n > DENSE_CUTOFF and nev < n - 1:
+        return folded_near_zero(h, nev, seed=seed)
+    vals, vecs = _window(*dense_eigh(h), nev)
+    _check_residual(h, vals, vecs, RESIDUAL_FACTOR * spectral_norm_bound(h), "dense solver")
+    return vals, vecs
 
 
 # ---------------------------------------------------------------------------

@@ -38,8 +38,8 @@ __all__ = [
     "verify_projective_relations",
 ]
 
-UNITARITY_TOL = 1e-12
 COVARIANCE_TOL = 1e-12
+RELATION_TOL = 1e-9  # of the projective relations and the ratios that define the cocycle
 MAX_GROUP_ORDER = 1024
 _SOLVED: dict[tuple, tuple] = {}  # _solved_elements' results, by model content
 
@@ -48,13 +48,13 @@ def _maybe_conj(m: np.ndarray, anti: int) -> np.ndarray:
     return m.conj() if anti else m
 
 
-def _scalar_ratio(a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> complex:
+def _scalar_ratio(a: np.ndarray, b: np.ndarray) -> complex:
     """tau with a = tau*b, or raise if the matrices are not proportional."""
     idx = np.unravel_index(np.argmax(np.abs(b)), b.shape)
-    if abs(b[idx]) < tol:
+    if abs(b[idx]) < RELATION_TOL:
         raise ValueError("cannot take ratio against a zero matrix")
     tau = a[idx] / b[idx]
-    if np.max(np.abs(a - tau * b)) > tol:
+    if np.max(np.abs(a - tau * b)) > RELATION_TOL:
         raise ValueError("matrices are not proportional; not a projective rep")
     return complex(tau)
 
@@ -115,7 +115,7 @@ class SymmetryAction:
         return self.matrix.shape[0]
 
 
-def verify_projective_relations(action: SymmetryAction, tol: float = 1e-9):
+def verify_projective_relations(action: SymmetryAction):
     """Re-derive every product relation from the matrices; return (ok, defect).
 
     Checks unitarity, spatial/antiunitary/chirality homomorphism properties,
@@ -143,7 +143,7 @@ def verify_projective_relations(action: SymmetryAction, tol: float = 1e-9):
                 thf = tau[(h.label, f.label)]
                 rhs = tau[(g.label, els[(k + m) % n].label)] * (thf.conjugate() if g.anti else thf)
                 defect = max(defect, abs(lhs - rhs))
-    return defect <= tol, defect
+    return defect <= RELATION_TOL, defect
 
 
 def _element_defect(model: HoppingModel, el: Element) -> float:

@@ -120,12 +120,95 @@ def test_a_repeated_panel_is_rejected_at_its_entry(overrides, field):
     assert err.value.errors[0][0] == field
 
 
+def test_gammas_that_share_six_digits_get_distinct_labels():
+    # a label keeps gamma to 6 significant digits unless they would not read back as gamma
+    cfg = validate_config(tiny_config(model={"name": "ham1", "gamma": [0.5, 0.5000001, 1e-07, 0.25]}))
+    assert [label for label, _ in cli._model_instances(cfg["model"])] == [
+        "ham1-g0.5", "ham1-g0.5000001", "ham1-g1e-07", "ham1-g0.25",
+    ]
+    with pytest.raises(ConfigError) as err:  # an exact repeat still is one
+        validate_config(tiny_config(model={"name": "ham1", "gamma": [0.5000001, 0.5, 0.5000001]}))
+    assert err.value.errors[0][0] == "model.gamma[2]"
+
+
 def test_a_size_override_that_repeats_a_panel_exits_two(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config(
         geometry=[{"kind": "wire", "side": 6}, {"kind": "wire", "side": 8}])))
     assert main(["run", str(cfg_path), "--size", "5", "--out", str(tmp_path / "out")]) == 2
     assert "config error at --size: geometry[1] repeats 'wire5'" in capsys.readouterr().err
+
+
+# one model per dimension; the 4D one is a custom single-orbital model
+MODEL_OF_DIMENSION = {
+    2: {"name": "chiral-quarter-uC"},
+    3: {"name": "ham1"},
+    4: {"custom": {"dimension": 4, "norb": 1,
+                   "hoppings": [{"delta": [0, 0, 0, 0], "matrix": [[[1.0, 0.0]]]}]}, "label": "m4"},
+}
+# (kind, model dimension, panel label or rejected field path, extents) at the default sizes
+GEOMETRY_TABLE = [
+    ("bulk", 2, "chiral-quarter-uC-bulk", (None, None)),
+    ("bulk", 3, "ham1-g0.5-bulk", (None, None, None)),
+    ("bulk", 4, "m4-bulk", (None, None, None, None)),
+    ("slab", 2, "chiral-quarter-uC-slab0x30", (30, None)),
+    ("slab", 3, "ham1-g0.5-slab0x30", (30, None, None)),
+    ("slab", 4, "m4-slab0x30", (30, None, None, None)),
+    ("slab-yz", 2, "chiral-quarter-uC-slab-yz30", (30, None)),
+    ("slab-yz", 3, "ham1-g0.5-slab-yz30", (30, None, None)),
+    ("slab-yz", 4, "m4-slab-yz30", (30, None, None, None)),
+    ("slab-xz", 2, "chiral-quarter-uC-slab-xz30", (None, 30)),
+    ("slab-xz", 3, "ham1-g0.5-slab-xz30", (None, 30, None)),
+    ("slab-xz", 4, "m4-slab-xz30", (None, 30, None, None)),
+    ("slab-xy", 2, "geometry[0].kind", None),
+    ("slab-xy", 3, "ham1-g0.5-slab-xy30", (None, None, 30)),
+    ("slab-xy", 4, "m4-slab-xy30", (None, None, 30, None)),
+    ("wire", 2, "geometry[0].kind", None),
+    ("wire", 3, "ham1-g0.5-wire28", (28, 28, None)),
+    ("wire", 4, "m4-wire28", (28, 28, None, None)),
+    ("cube", 2, "geometry[0].kind", None),
+    ("cube", 3, "ham1-g0.5-cube16", (16, 16, 16)),
+    ("cube", 4, "geometry[0].kind", None),
+    ("quarter", 2, "chiral-quarter-uC-quarter24", (24, 24)),
+    ("quarter", 3, "ham1-g0.5-quarter24", (24, 24, None)),
+    ("quarter", 4, "m4-quarter24", (24, 24, None, None)),
+]
+
+
+@pytest.mark.parametrize("kind, dimension, label, extents", GEOMETRY_TABLE,
+                         ids=[f"{k}-{d}d" for k, d, _, _ in GEOMETRY_TABLE])
+def test_every_geometry_kind_on_every_model_dimension(kind, dimension, label, extents):
+    cfg = tiny_config(model=MODEL_OF_DIMENSION[dimension], geometry={"kind": kind}, tasks=["spectrum"])
+    if extents is None:
+        with pytest.raises(ConfigError) as err:
+            validate_config(cfg)
+        assert err.value.errors[0][0] == label
+        return
+    cfg = validate_config(cfg)
+    (panel, model, geometry), = cli._panels(cfg)
+    assert (panel, geometry.extents) == (label, extents)
+    if kind != "slab":  # a claim's scan at the default sizes makes the same panel
+        (mlabel, _), = cli._model_instances(cfg["model"])
+        panel, _, geometry = cli._panel(mlabel, model, cli._geometry_spec(kind, cli.DEFAULT_SIZES))
+        assert (panel, geometry.extents) == (label, extents)
+
+
+def test_an_unhashable_geometry_kind_is_unknown():
+    with pytest.raises(ConfigError) as err:
+        validate_config(tiny_config(geometry={"kind": ["wire"]}))
+    assert err.value.errors[0][0] == "geometry[0].kind"
+
+
+def test_size_override_resizes_every_geometry_kind(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_config", lambda cfg, out: seen.append(cfg["geometry"]) or {})
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(geometry=[{"kind": k} for k in cli.GEOMETRY_KINDS])))
+    assert {k for k, _, _, _ in GEOMETRY_TABLE} == set(cli.GEOMETRY_KINDS)
+    assert main(["run", str(cfg_path), "--size", "7", "--out", str(tmp_path / "out")]) == 0
+    assert [cli._geometry_label(g) for g in seen[0]] == [
+        "bulk", "slab0x7", "slab-yz7", "slab-xz7", "slab-xy7", "wire7", "cube7", "quarter7",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -555,6 +638,61 @@ def test_transversal_rejects_an_unknown_seed_set(tmp_path, capsys):
     path.write_text(json.dumps({"seeds": "hexagon"}))
     assert main(["transversal", str(path)]) == 2
     assert "config error at transversal.seeds:" in capsys.readouterr().err
+
+
+# each report subcommand reads a built-in name or a JSON file: (argv, its field)
+REPORT_INPUTS = {
+    "kss": (["kss", "{arg}"], "kss"),
+    "transversal": (["transversal", "{arg}"], "transversal"),
+    "check-symmetry": (["check-symmetry", "{arg}", "C4T"], "model"),
+}
+# inputs every report subcommand rejects at its field: (id, file content),
+# where None is an unknown name and no file, and b"/" a directory
+LOADER_ERRORS = [
+    ("unknown-name", None),
+    ("directory", b"/"),
+    ("not-json", b"{not json"),
+    ("not-utf8", b"\xff\xfe{}"),
+    ("json-list", b"[1]"),
+]
+# valid JSON that is no valid input, per subcommand, with the field it fails at
+INVALID_DOCUMENTS = [
+    ("kss", b"{}", "kss"),
+    ("kss", b'{"length": 2}', "kss"),
+    ("transversal", b'{"patterns": []}', "transversal.patterns"),
+    ("transversal", b'{"patterns": 5}', "transversal.patterns"),
+    ("transversal", b'{"seeds": "hexagon"}', "transversal.seeds"),
+    ("transversal", b'{"seeds": ["square"]}', "transversal.seeds"),
+    ("check-symmetry", b'{"dimension": 3}', "model"),
+    ("check-symmetry", b'{"model": "ham9"}', "model"),
+]
+
+
+def _loader_exit(tmp_path, capsys, command, content):
+    argv, _ = REPORT_INPUTS[command]
+    arg = tmp_path / "input"
+    if content == b"/":
+        arg.mkdir()
+    elif content is not None:
+        arg.write_bytes(content)
+    code = main([a.format(arg=arg if content is not None else "no-such-name") for a in argv])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
+@pytest.mark.parametrize("command", REPORT_INPUTS)
+@pytest.mark.parametrize("content", [c for _, c in LOADER_ERRORS], ids=[i for i, _ in LOADER_ERRORS])
+def test_every_report_loader_error_exits_two_at_its_field(tmp_path, capsys, command, content):
+    code, err = _loader_exit(tmp_path, capsys, command, content)
+    assert code == 2 and err.startswith(f"config error at {REPORT_INPUTS[command][1]}: ")
+
+
+@pytest.mark.parametrize("command, content, field", INVALID_DOCUMENTS,
+                         ids=[f"{c}-{d.decode()}" for c, d, _ in INVALID_DOCUMENTS])
+def test_every_invalid_report_document_exits_two_at_its_field(tmp_path, capsys, command, content, field):
+    code, err = _loader_exit(tmp_path, capsys, command, content)
+    assert code == 2 and err.startswith(f"config error at {field}: ")
 
 
 # ---------------------------------------------------------------------------

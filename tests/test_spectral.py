@@ -151,6 +151,22 @@ def test_near_zero_routing_consistent(monkeypatch):
     assert np.max(np.abs(a - b)) < RTOL
 
 
+def test_dense_route_checks_its_residuals(monkeypatch):
+    # the dense route shares the sparse route's residual check
+    h = _wire_ham(side=4)
+    dense = spectral.dense_eigh
+
+    def perturbed(m):
+        vals, vecs = dense(m)
+        vecs = vecs.copy()
+        vecs[:, np.argmin(np.abs(vals))] += 1e-3
+        return vals, vecs
+
+    monkeypatch.setattr(spectral, "dense_eigh", perturbed)
+    with pytest.raises(RuntimeError, match="dense solver: residual"):
+        near_zero_states(h, 4)
+
+
 def test_folded_rejects_nearly_full_spectrum(monkeypatch):
     h = _wire_ham(side=3)  # dimension 36
     with pytest.raises(ValueError, match="near_zero_states"):
