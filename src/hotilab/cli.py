@@ -189,13 +189,22 @@ def _normalize_geometry(spec, path, dimension: int) -> dict:
     return out
 
 
-def _reject_repeat(path: str, labels: list, field: str | None = None) -> None:
+def _reject_repeat(path: str, labels: list, field: str | None = None, keys: list | None = None) -> None:
     """Fail at ``path[i]`` (or at ``field``, when it caused the repeat) for
-    the first entry whose label an earlier entry already makes."""
-    for i, label in enumerate(labels):
-        if label in labels[:i]:
-            _fail(field or f"{path}[{i}]", f"{path}[{i}] repeats {label!r} of "
-                  f"{path}[{labels.index(label)}], so both would write the same files")
+    the first entry whose key (its label unless ``keys`` are given) an earlier entry has."""
+    keys = labels if keys is None else keys
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            j = keys.index(key)
+            _fail(field or f"{path}[{i}]", f"{path}[{i}] repeats {labels[j]!r} of {path}[{j}], "
+                  "so both would solve the same panels")
+
+
+def _reject_repeated_geometry(cfg: dict, field: str | None = None) -> None:
+    """`_reject_repeat` on the built geometries, since two kinds can build one."""
+    dim, geos = _model_instances(cfg["model"])[0][1].dimension, cfg["geometry"]
+    _reject_repeat("geometry", [_geometry_label(g) for g in geos], field,
+                   [GEOMETRY_KINDS[g["kind"]][3](dim, g) for g in geos])
 
 
 def validate_config(doc) -> dict:
@@ -215,7 +224,7 @@ def validate_config(doc) -> dict:
     cfg["geometry"] = [
         _normalize_geometry(g, f"geometry[{i}]", dimension) for i, g in enumerate(geos)
     ]
-    _reject_repeat("geometry", [_geometry_label(g) for g in cfg["geometry"]])
+    _reject_repeated_geometry(cfg)
     tasks = doc.get("tasks")
     if not isinstance(tasks, list) or not tasks:
         _fail("tasks", "expected a non-empty list")
@@ -342,6 +351,7 @@ def _task_bands(model, geometry, scans, outdir, label):
         summary = {
             "min_abs_energy": float(np.min(np.abs(data.energies))),
             "k_reversal": data.k_reversal,
+            "real_gauge": data.real_gauge,
             "solved_momenta": data.solved_momenta,
         }
         if data.region_names:
@@ -352,7 +362,7 @@ def _task_bands(model, geometry, scans, outdir, label):
     depth = int(geometry.extents[direction])
     momenta = np.column_stack([_momentum_path(nk), np.zeros(nk)])
     energies = np.array(list(dense_spectra(slab_bloch(model, direction, depth), momenta)))
-    write_band_csv(path, BandData(momenta, energies, None, (), None, nk))
+    write_band_csv(path, BandData(momenta, energies, None, (), None, None, nk))
     gap = scans.gap(label, model, geometry)
     return [path], {"min_abs_energy_grid": gap, "min_abs_energy_line": float(np.min(np.abs(energies)))}
 
@@ -395,6 +405,8 @@ def _transversal_seeds(doc) -> tuple[str, list]:
     one dimension (named ``custom``), or a built-in ``seeds`` set."""
     if not isinstance(doc, dict):
         _fail("transversal", "expected an object")
+    if "patterns" in doc and "seeds" in doc:
+        _fail("transversal", "has both `patterns` and `seeds`; give one")
     if "patterns" not in doc:
         name = doc.get("seeds")
         if name not in BUILTIN_SEEDS:
@@ -881,7 +893,7 @@ def _cmd_run(args) -> int:
         for g in cfg["geometry"]:
             if field := GEOMETRY_KINDS[g["kind"]][0]:
                 g[field] = size
-        _reject_repeat("geometry", [_geometry_label(g) for g in cfg["geometry"]], "--size")
+        _reject_repeated_geometry(cfg, "--size")
     out = args.out or cfg.get("out") or f"out/{cfg.get('name') or 'run'}"
     summary = run_config(cfg, out)
     print(json.dumps(summary, indent=2, sort_keys=True, default=str))

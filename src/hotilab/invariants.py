@@ -288,6 +288,7 @@ class HingeReport:
     energies: np.ndarray
     warnings: list[str] = field(default_factory=list)
     k_reversal: str | None = None  # symmetry element that filled the -k half
+    real_gauge: str | None = None  # antiunitary element whose gauge made H(k) real
     solved_momenta: int = 0
 
     def to_dict(self) -> dict:
@@ -297,6 +298,7 @@ class HingeReport:
             "crossings": list(self.crossings),
             "warnings": list(self.warnings),
             "k_reversal": self.k_reversal,
+            "real_gauge": self.real_gauge,
             "solved_momenta": self.solved_momenta,
         }
 
@@ -326,7 +328,7 @@ def hinge_spectral_flow(
     element of the model maps H(k) onto H(-k) on the wire
     (``symmetry.momentum_reversal``) only ceil(nk/2) momenta are solved and
     each window at -k is the residual-checked image of the window at k.
-    The report records the element and the count.
+    The report records that element, the real gauge and the count.
     """
     if model.dimension != 3:
         raise ValueError("hinge flow is for 3d models on wires")
@@ -397,16 +399,9 @@ def hinge_spectral_flow(
     total = sum(flows.values())
     if total != 0:
         warnings.append(f"hinge flows sum to {total}, not zero")
-    return HingeReport(
-        flows=flows,
-        kirchhoff_sum=total,
-        crossings=crossings,
-        momenta=ks,
-        energies=energies,
-        warnings=warnings,
-        k_reversal=data.k_reversal,
-        solved_momenta=data.solved_momenta,
-    )
+    return HingeReport(flows=flows, kirchhoff_sum=total, crossings=crossings, momenta=ks,
+                       energies=energies, warnings=warnings, k_reversal=data.k_reversal,
+                       real_gauge=data.real_gauge, solved_momenta=data.solved_momenta)
 
 
 # ---------------------------------------------------------------------------

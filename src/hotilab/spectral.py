@@ -9,8 +9,9 @@ seeded start vector.  ``near_zero_states`` alone chooses between them,
 on the matrix size: dense up to ``DENSE_CUTOFF`` (a module constant, not
 an option of any caller or config), sparse above it; both share one
 window pick and one residual check.  Band scans build a model's assembly
-once and evaluate it per momentum, and attach per-region spatial weights
-(regions are masks on the geometry's site array), disentangling
+once and evaluate it per momentum, solve real matrices in the gauge of
+``symmetry.real_gauge`` when it finds one, and attach per-region spatial
+weights (regions are masks on the geometry's site array), disentangling
 degenerate clusters so weights are stable under basis ambiguity.  Gap
 scans (slabs, edges, the bulk) run one dense ``eigvalsh`` loop,
 ``dense_spectra``, over a Bloch callable at one momentum per orbit of the
@@ -27,7 +28,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .models import Assembly, Geometry, HoppingModel, bulk_geometry, slab_geometry
-from .symmetry import covariant_elements, momentum_reversal
+from .symmetry import covariant_elements, momentum_reversal, real_gauge
 
 __all__ = [
     "DENSE_CUTOFF",
@@ -86,10 +87,8 @@ def dense_eigh(h) -> tuple[np.ndarray, np.ndarray]:
 
 
 def spectral_norm_bound(h) -> float:
-    """Max absolute row sum: a cheap upper bound on the spectral norm."""
-    if sp.issparse(h):
-        return float(np.max(abs(h).sum(axis=1)))
-    return float(np.max(np.sum(np.abs(h), axis=1)))
+    """Max absolute row sum (of a dense or sparse h): a cheap upper bound on the spectral norm."""
+    return float(np.max(abs(h).sum(axis=1)))
 
 
 def _window(vals: np.ndarray, vecs: np.ndarray, nev: int):
@@ -241,6 +240,7 @@ class BandData:
     weights: np.ndarray | None     # (#k, #bands, #regions)
     region_names: tuple[str, ...]
     k_reversal: str | None         # symmetry element that filled the -k half
+    real_gauge: str | None         # antiunitary element whose gauge made H(k) real
     solved_momenta: int
 
 
@@ -284,36 +284,45 @@ def _momentum_scan(
 ):
     """The one momentum-scan loop, behind ``band_structure`` and the hinge flow.
 
-    Solves the ``nev`` states nearest zero (all when None) on one assembly.
-    On a grid symmetric about k = 0 (momenta[n-1-i] = -momenta[i]) where
-    ``momentum_reversal`` finds an element, only the first ceil(n/2) momenta
-    are solved: the window at -k is the mapped window at k, with the same
-    energies, and must pass the sparse solver's residual check against
-    H(-k) or the scan raises.  Returns the band data and, with
-    ``keep_vectors``, every window's (disentangled) eigenvectors.
+    Solves the ``nev`` states nearest zero (all when None) on one assembly,
+    of the real part of D^dag H(k) D (D = 1 (x) V on every site) where
+    ``real_gauge`` finds V: it must be real within 1e-12 * bound(H), and the
+    vectors D carries back must pass the residual check against H(k), or the
+    scan raises.  On a grid symmetric about k = 0 (momenta[n-1-i] =
+    -momenta[i]) where ``momentum_reversal`` finds an element, only the
+    first ceil(n/2) momenta are solved: the window at -k is the mapped
+    window at k, with the same energies, and must pass the same residual
+    check against H(-k).  Returns the band data and, with ``keep_vectors``,
+    every window's (disentangled) eigenvectors.
     """
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
     asm = Assembly(model, geometry)
     n = len(momenta)
-    reversal = None
-    if np.all(np.abs(momenta + momenta[::-1]) <= 1e-12):
-        reversal = momentum_reversal(model, geometry)
-    nsolve = n if reversal is None else (n + 1) // 2
+    symmetric = np.all(np.abs(momenta + momenta[::-1]) <= 1e-12)
+    reversal = momentum_reversal(model, geometry) if symmetric else None
+    nsolve, nwant = n if reversal is None else (n + 1) // 2, asm.dim if nev is None else nev
+    gauge = real_gauge(model, geometry)
+    if gauge is not None:
+        rot = sp.kron(sp.identity(asm.dim // model.norb), gauge[1], format="csr")
     energies, weights, kept = [None] * n, [None] * n, [None] * n
     for i in range(nsolve):
-        vals, vecs = near_zero_states(
-            asm.matrix(momenta[i]), asm.dim if nev is None else nev, seed=seed
-        )
+        h, at = asm.matrix(momenta[i]), momenta[i].round(3).tolist()
+        if gauge is None:
+            vals, vecs = near_zero_states(h, nwant, seed=seed)
+        else:
+            hr, bound = rot.conj().T @ h @ rot, spectral_norm_bound(h)
+            if abs(hr.imag).max() > 1e-12 * bound:
+                raise RuntimeError(f"{gauge[0]} leaves H(k={at}) complex in its real gauge")
+            vals, vecs = near_zero_states(hr.real, nwant, seed=seed)
+            vecs = _fix_phases(rot @ vecs)
+            _check_residual(h, vals, vecs, RESIDUAL_FACTOR * bound, f"{gauge[0]} gauge at k={at}")
         found = {i: vecs}
         j = n - 1 - i
         if reversal is not None and j != i:
             found[j] = _fix_phases(reversal.apply(vecs))
             h = asm.matrix(momenta[j])
-            _check_residual(
-                h, vals, found[j], RESIDUAL_FACTOR * spectral_norm_bound(h),
-                f"{reversal.label} mapping k={momenta[i].round(3).tolist()} "
-                f"to k={momenta[j].round(3).tolist()}",
-            )
+            _check_residual(h, vals, found[j], RESIDUAL_FACTOR * spectral_norm_bound(h),
+                            f"{reversal.label} mapping k={at} to k={momenta[j].round(3).tolist()}")
         for idx, v in found.items():
             energies[idx] = vals
             if partition is not None:
@@ -321,14 +330,10 @@ def _momentum_scan(
                 weights[idx] = partition.weights(v).T
             if keep_vectors:
                 kept[idx] = v
-    data = BandData(
-        momenta,
-        np.array(energies),
-        None if partition is None else np.array(weights),
-        () if partition is None else partition.names,
-        None if reversal is None else reversal.label,
-        nsolve,
-    )
+    data = BandData(momenta, np.array(energies), None if partition is None else np.array(weights),
+                    () if partition is None else partition.names,
+                    None if reversal is None else reversal.label,
+                    None if gauge is None else gauge[0], nsolve)
     return data, kept if keep_vectors else None
 
 
@@ -345,7 +350,8 @@ def band_structure(
 
     On a grid symmetric about k = 0, a model with a k-reversing symmetry
     element is solved at ceil(n/2) momenta and the rest are mapped (see
-    ``_momentum_scan``); ``k_reversal`` and ``solved_momenta`` record it.
+    ``_momentum_scan``, which also solves in a ``real_gauge``);
+    ``k_reversal``, ``real_gauge`` and ``solved_momenta`` record them.
     Only a solved window and its image are held at a time.
     """
     return _momentum_scan(model, geometry, momenta, window, partition, seed)[0]

@@ -22,6 +22,7 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 
 from .fgab import ieye, imat
 from .models import Geometry, HoppingModel, s0, s1, s2, s3
@@ -34,6 +35,7 @@ __all__ = [
     "CovariantElement",
     "covariant_elements",
     "momentum_reversal",
+    "real_gauge",
     "symmetrize",
     "verify_projective_relations",
 ]
@@ -258,6 +260,21 @@ def momentum_reversal(model: HoppingModel, geometry: Geometry) -> CovariantEleme
     is -1, so that it maps H(k) onto H(-k) with the same energies; or None."""
     return next((el for el in covariant_elements(model, geometry)
                  if not el.chiral and np.array_equal(el.k_map, -np.eye(len(el.k_map)))), None)
+
+
+def real_gauge(model: HoppingModel, geometry: Geometry) -> tuple[str, np.ndarray] | None:
+    """(label, V = sqrtm(U)) of the first antiunitary, non-chiral ``covariant_elements`` entry
+    with k-map +1 that fixes every site and has U conj(U) = 1, V checked unitary with V V^T = U,
+    so that V^dag H(k) V is real on each site block; or None."""
+    for el in covariant_elements(model, geometry):
+        u, eye = el.unitary, np.eye(len(el.unitary))
+        if (el.antiunitary and not el.chiral and np.array_equal(el.k_map, np.eye(len(el.k_map)))
+                and np.array_equal(el.site_perm, np.arange(len(el.site_perm)))
+                and np.max(np.abs(u @ u.conj() - eye)) <= RELATION_TOL):
+            v = scipy.linalg.sqrtm(u)
+            if max(np.max(np.abs(v @ v.conj().T - eye)), np.max(np.abs(v @ v.T - u))) <= RELATION_TOL:
+                return el.label, v
+    return None
 
 
 def symmetrize(model: HoppingModel, action: SymmetryAction) -> HoppingModel:

@@ -31,7 +31,7 @@ from hotilab.cli import (
 from hotilab.invariants import CornerReport, HingeReport
 from hotilab.ktheory import PRESET_NAMES
 from hotilab.models import builtin_model, cube_geometry, instantiate, slab_geometry
-from hotilab.patterns import BUILTIN_SEEDS
+from hotilab.patterns import BUILTIN_SEEDS, builtin_seeds, pattern_to_dict
 from hotilab.spectral import slab_bloch
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -139,6 +139,27 @@ def test_a_size_override_that_repeats_a_panel_exits_two(tmp_path, capsys):
     assert "config error at --size: geometry[1] repeats 'wire5'" in capsys.readouterr().err
 
 
+def test_two_kinds_that_build_one_geometry_are_rejected(tmp_path, capsys):
+    # slab1x6 and slab-xz6 are two labels of one slab, which would be solved twice
+    slabs = [{"kind": "slab", "direction": 1, "depth": 6}, {"kind": "slab-xz", "depth": 6}]
+    with pytest.raises(ConfigError) as err:
+        validate_config(tiny_config(geometry=slabs))
+    assert err.value.errors[0][0] == "geometry[1]"
+    assert "repeats 'slab1x6' of geometry[0]" in err.value.errors[0][1]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(geometry=slabs)))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error at geometry[1]:" in capsys.readouterr().err
+    slabs[1]["depth"] = 8  # distinct until --size makes them one
+    cfg_path.write_text(json.dumps(tiny_config(geometry=slabs)))
+    assert main(["run", str(cfg_path), "--size", "5", "--out", str(tmp_path / "out")]) == 2
+    assert "config error at --size: geometry[1] repeats 'slab1x5'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError) as err:  # a 3D model's wire and quarter of one side, too
+        validate_config(tiny_config(geometry=[{"kind": "wire", "side": 6}, {"kind": "quarter", "side": 6}]))
+    assert err.value.errors[0][0] == "geometry[1]"
+
+
 # one model per dimension; the 4D one is a custom single-orbital model
 MODEL_OF_DIMENSION = {
     2: {"name": "chiral-quarter-uC"},
@@ -199,15 +220,23 @@ def test_an_unhashable_geometry_kind_is_unknown():
     assert err.value.errors[0][0] == "geometry[0].kind"
 
 
-def test_size_override_resizes_every_geometry_kind(tmp_path, monkeypatch):
+def test_size_override_resizes_every_geometry_kind(tmp_path, capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(cli, "run_config", lambda cfg, out: seen.append(cfg["geometry"]) or {})
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(tiny_config(geometry=[{"kind": k} for k in cli.GEOMETRY_KINDS])))
+    argv = ["run", str(cfg_path), "--size", "7", "--out", str(tmp_path / "out")]
     assert {k for k, _, _, _ in GEOMETRY_TABLE} == set(cli.GEOMETRY_KINDS)
-    assert main(["run", str(cfg_path), "--size", "7", "--out", str(tmp_path / "out")]) == 0
-    assert [cli._geometry_label(g) for g in seen[0]] == [
-        "bulk", "slab0x7", "slab-yz7", "slab-xz7", "slab-xy7", "wire7", "cube7", "quarter7",
+    # `slab` (direction 0) and `slab-yz` build one slab, and on a 3D model
+    # `wire` and `quarter` of one side build one geometry: one config of
+    # every kind is rejected, so the kinds are split over two configs
+    cfg_path.write_text(json.dumps(tiny_config(geometry=[{"kind": k} for k in cli.GEOMETRY_KINDS])))
+    assert main(argv) == 2
+    assert "config error at geometry[2]: geometry[2] repeats 'slab0x30'" in capsys.readouterr().err
+    for kinds in ([k for k in cli.GEOMETRY_KINDS if k not in ("slab-yz", "quarter")], ["slab-yz", "quarter"]):
+        cfg_path.write_text(json.dumps(tiny_config(geometry=[{"kind": k} for k in kinds])))
+        assert main(argv) == 0
+    assert [cli._geometry_label(g) for g in seen[0] + seen[1]] == [
+        "bulk", "slab0x7", "slab-xz7", "slab-xy7", "wire7", "cube7", "slab-yz7", "quarter7",
     ]
 
 
@@ -638,6 +667,18 @@ def test_transversal_rejects_an_unknown_seed_set(tmp_path, capsys):
     path.write_text(json.dumps({"seeds": "hexagon"}))
     assert main(["transversal", str(path)]) == 2
     assert "config error at transversal.seeds:" in capsys.readouterr().err
+
+
+def test_transversal_rejects_both_patterns_and_seeds(tmp_path, capsys):
+    # neither key is dropped silently: the file names one seed source
+    patterns = [pattern_to_dict(p) for p in builtin_seeds("square")]
+    path = tmp_path / "seeds.json"
+    path.write_text(json.dumps({"seeds": "cube", "patterns": patterns}))
+    assert main(["transversal", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error at transversal:" in err and "`patterns`" in err and "`seeds`" in err
+    path.write_text(json.dumps({"patterns": patterns}))
+    assert main(["transversal", str(path)]) == 0
 
 
 # each report subcommand reads a built-in name or a JSON file: (argv, its field)

@@ -185,6 +185,41 @@ def test_hinge_flow_half_scan_matches_full_scan(monkeypatch, mname, side, nk):
     assert half.warnings == full.warnings
 
 
+@pytest.mark.parametrize("route", ["dense", "sparse"])
+@pytest.mark.parametrize("mname, side", [("ham2", 12), ("ham3", 12)])
+def test_real_gauge_scan_matches_complex_scan(monkeypatch, mname, side, route):
+    model = builtin_model(mname)
+    if route == "sparse":
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
+    kw = dict(side=side, nk=41, window=12)
+    real = hinge_spectral_flow(model, **kw)
+    monkeypatch.setattr(spectral, "real_gauge", lambda *args: None)
+    full = hinge_spectral_flow(model, **kw)
+    assert real.real_gauge == "S=(x,y,-z),anti=1,chiral=0" and full.real_gauge is None
+    assert real.k_reversal == full.k_reversal is not None
+    assert real.flows == full.flows
+    assert len(real.crossings) == len(full.crossings) > 0
+    for a, b in zip(real.crossings, full.crossings):
+        assert (a["hinge"], a["slope"]) == (b["hinge"], b["slope"])
+        assert abs((a["k"] - b["k"] + np.pi) % (2 * np.pi) - np.pi) <= 1e-9
+    bound = spectral_norm_bound(Assembly(model, wire_geometry(3, side)).matrix((0.0,)))
+    assert np.max(np.abs(real.energies - full.energies)) <= 1e-12 * bound
+    assert real.warnings == full.warnings
+
+
+@pytest.mark.parametrize("scale, match", [(None, "complex"), (2.0, "residual")],
+                         ids=["not-real", "not-unitary"])
+def test_hinge_flow_rejects_a_wrong_real_gauge(monkeypatch, scale, match):
+    # the identity leaves ham2's H(k) complex; twice the true V makes it real
+    # but carries the vectors back with norm 2
+    model, geo = builtin_model("ham2"), wire_geometry(3, 6)
+    label, v = spectral.real_gauge(model, geo)
+    wrong = np.eye(4, dtype=complex) if scale is None else scale * v
+    monkeypatch.setattr(spectral, "real_gauge", lambda *args: ("wrong", wrong))
+    with pytest.raises(RuntimeError, match=match):
+        hinge_spectral_flow(model, side=6, nk=9, window=8)
+
+
 def test_hinge_flow_falls_back_to_full_scan(monkeypatch):
     base = builtin_model("ham1")
     rng = np.random.default_rng(7)

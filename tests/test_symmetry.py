@@ -20,6 +20,7 @@ from hotilab.symmetry import (
     check_covariance,
     covariant_elements,
     momentum_reversal,
+    real_gauge,
     symmetrize,
     verify_projective_relations,
 )
@@ -230,6 +231,40 @@ def test_momentum_reversal_is_the_first_reversing_covariant_element(mname, gamma
         if rev is not None:
             assert not rev.chiral and np.array_equal(rev.k_map, -np.eye(len(geo.periodic_dirs)))
     assert tuple(labels) == REVERSAL_LABELS[(mname, gamma)]
+
+
+# real_gauge's pick per built-in 3D model on a wire: mirror_z.T where the
+# model has it; ham1's only site-fixing antiunitary element at gamma 0.5 is
+# none (its mirror.T, S=(y,x,-z), moves sites)
+REAL_GAUGE_LABELS = {
+    ("ham1", 0.5): None,
+    ("ham1", 0.0): "S=(x,y,-z),anti=1,chiral=0",
+    ("ham2", 0.5): "S=(x,y,-z),anti=1,chiral=0",
+    ("ham2", 0.0): "S=(x,y,-z),anti=1,chiral=0",
+    ("ham3", 0.5): "S=(x,y,-z),anti=1,chiral=0",
+    ("ham3", 0.0): "S=(x,y,-z),anti=1,chiral=0",
+}
+
+
+@pytest.mark.parametrize("mname, gamma", list(REAL_GAUGE_LABELS))
+@pytest.mark.parametrize("side", [5, 6])
+def test_real_gauge_makes_every_wire_bloch_matrix_real(mname, gamma, side):
+    model, geo = builtin_model(mname, gamma), wire_geometry(3, side)
+    gauge = real_gauge(model, geo)
+    assert (gauge and gauge[0]) == REAL_GAUGE_LABELS[(mname, gamma)]
+    if gauge is None:
+        return
+    label, v = gauge
+    el = next(el for el in covariant_elements(model, geo) if el.label == label)
+    assert el.antiunitary and not el.chiral and np.array_equal(el.k_map, [[1]])
+    assert np.array_equal(el.site_perm, np.arange(side * side))
+    assert np.max(np.abs(v @ v.conj().T - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(v @ v.T - el.unitary)) <= 1e-12
+    asm, rot = Assembly(model, geo), np.kron(np.eye(side * side), v)
+    for k in np.random.default_rng(3).uniform(-np.pi, np.pi, 4):
+        h = asm.matrix((k,)).toarray()
+        gauged = rot.conj().T @ h @ rot
+        assert np.max(np.abs(gauged.imag)) <= 1e-12 * np.max(np.abs(h).sum(axis=1))
 
 
 def test_covariant_elements_builds_no_action(monkeypatch):
