@@ -58,7 +58,6 @@ from .models import (
     builtin_model,
     bulk_geometry,
     cube_geometry,
-    instantiate,
     model_from_dict,
     quarter_geometry,
     slab_geometry,
@@ -74,11 +73,11 @@ from .patterns import (
 )
 from .spectral import (
     BandData,
-    _disentangle_clusters,
+    RegionPartition,
+    _momentum_scan,
     band_structure,
     dense_spectra,
     minimum_bulk_gap,
-    near_zero_states,
     slab_bloch,
     slab_gap_scan,
     wire_regions,
@@ -307,18 +306,22 @@ def _momentum_path(nk: int) -> np.ndarray:
     return np.linspace(-np.pi, np.pi, nk)
 
 
+def _hinge_regions(model, geometry):
+    """The hinge regions of ``geometry`` when two directions are open, else None."""
+    return wire_regions(geometry, model.norb) if len(geometry.open_dirs) >= 2 else None
+
+
 def _near_zero_modes(model, geometry, solver):
-    """The solver's ``nev`` states of ``model`` nearest zero at k = 0, and
-    the hinge-region weight of each (empty when fewer than two directions
-    are open).  Degenerate clusters are rotated onto the regions first, so
-    no weight depends on the solver's basis inside a multiplet."""
-    ham = instantiate(model, geometry, (0.0,) * len(geometry.periodic_dirs))
-    vals, vecs = near_zero_states(ham.matrix, solver["nev"], seed=solver["seed"])
-    if len(geometry.open_dirs) < 2:
-        return vals, vecs, {}
-    part = wire_regions(geometry, model.norb)
-    vecs = _disentangle_clusters(vals, vecs, part)
-    return vals, vecs, dict(zip(part.names, part.weights(vecs)))
+    """The solver's ``nev`` states of ``model`` nearest zero at k = 0, from
+    the one momentum-scan loop, and the hinge-region weight of each (empty
+    without hinge regions).  Degenerate clusters are rotated onto the
+    regions first, so no weight depends on the solver's basis inside a
+    multiplet."""
+    part, k0 = _hinge_regions(model, geometry), np.zeros((1, len(geometry.periodic_dirs)))
+    data, (vecs,) = _momentum_scan(model, geometry, k0, solver["nev"], part, solver["seed"],
+                                   keep_vectors=True)
+    weights = {} if part is None else dict(zip(part.names, data.weights[0].T))
+    return data.energies[0], vecs, weights
 
 
 def _write_modes_csv(path, index: str, vals, weights: dict) -> None:
@@ -547,11 +550,9 @@ class Scans:
     def bands(self, label, model, geometry, nk, window) -> BandData:
         """The ``window`` states nearest zero on linspace(-pi, pi, nk), with
         hinge-region weights when two directions are open."""
-        part = wire_regions(geometry, model.norb) if len(geometry.open_dirs) >= 2 else None
-        return band_structure(
-            model, geometry, _momentum_path(nk)[:, None], partition=part, window=window,
-            seed=self.solver["seed"],
-        )
+        return band_structure(model, geometry, _momentum_path(nk)[:, None],
+                              partition=_hinge_regions(model, geometry), window=window,
+                              seed=self.solver["seed"])
 
     @_once
     def flow(self, label, model, geometry) -> HingeReport:
@@ -582,9 +583,8 @@ class Scans:
         side = int(geometry.extents[0])
         vals, vecs, weights = _near_zero_modes(model, geometry, self.solver)
         sites = geometry.site_array()
-        edge_mask = (np.minimum(sites, side - 1 - sites) <= 2).sum(axis=1) >= 2
-        dens = (np.abs(vecs) ** 2).reshape(len(sites), model.norb, -1).sum(axis=1)
-        edge_fraction = dens[edge_mask].sum(axis=0)
+        edge = np.flatnonzero((np.minimum(sites, side - 1 - sites) <= 2).sum(axis=1) >= 2)
+        edge_fraction = RegionPartition(("edge",), {"edge": edge}, model.norb).weights(vecs)[0]
         if self.outdir is not None:
             _write_modes_csv(
                 self.outdir / f"hinge-modes-{model.name}.csv", "mode", vals,

@@ -367,7 +367,6 @@ class GroupMap:
     src: FGAbelianGroup
     dst: FGAbelianGroup
     matrix: np.ndarray
-    name: str = ""
 
     def __post_init__(self):
         self.matrix = _as_imat(self.matrix)

@@ -16,8 +16,9 @@ from itertools import product
 import numpy as np
 import scipy.optimize
 
-from .models import HoppingModel, instantiate, quarter_geometry, wire_geometry
+from .models import HoppingModel, quarter_geometry, wire_geometry
 from .spectral import (
+    RegionPartition,
     _disentangle_clusters,
     _momentum_scan,
     corner_regions,
@@ -60,14 +61,6 @@ def _round_integer(raw: float, what: str) -> int:
     return int(n)
 
 
-def _as_bloch_callable(obj, dimension: int):
-    if isinstance(obj, HoppingModel):
-        if obj.dimension != dimension:
-            raise ValueError(f"need a {dimension}d model")
-        return obj.bloch
-    return obj
-
-
 # ---------------------------------------------------------------------------
 # Chern number (plaquette field-strength construction)
 
@@ -107,15 +100,14 @@ def _chern_raw(bloch, resolution: int) -> float:
     return total / (2 * np.pi)
 
 
-def chern_number_2d(bloch, resolution: int = 24) -> int:
+def chern_number_2d(bloch, resolution: int) -> int:
     """First Chern number of the occupied (E < 0) bands of a 2d Bloch map
-    (a callable of k, or a 2d ``HoppingModel``, which stands for its ``bloch``).
+    ``bloch``, a callable of k.
 
     Plaquette field strengths from overlap-link phases; the lattice total is
     an integer by construction, and two grid sizes must agree before the
     value is trusted.
     """
-    bloch = _as_bloch_callable(bloch, 2)
     c1 = _round_integer(_chern_raw(bloch, resolution), "chern number")
     c2 = _round_integer(_chern_raw(bloch, resolution + 7), "chern number")
     if c1 != c2:
@@ -163,6 +155,13 @@ class CornerReport:
         }
 
 
+def _graded_count(vecs: np.ndarray, grading: np.ndarray) -> tuple[np.ndarray, int]:
+    """<v|G|v> of each column v of ``vecs`` for the diagonal grading G, and
+    the graded count: the sum of those values, each rounded to an integer."""
+    values = np.real(np.sum(vecs.conj() * (grading[:, None] * vecs), axis=0))
+    return values, sum(_round_integer(float(g), "zero-mode chirality") for g in values)
+
+
 def _edge_gap(model: HoppingModel, depth: int) -> float:
     """Min |E| over both half-space edge spectra (momentum along the edge)."""
     return min(slab_gap_scan(model, d, depth, 40) for d in (0, 1))
@@ -180,7 +179,9 @@ def corner_index(
     (compensating modes sit at the far corners), so states are filtered by
     weight in the corner quadrant before counting chirality eigenvalues.
     Requires both edges gapped; zero modes are those below ZERO_MODE_TOL
-    times a norm bound.
+    times a norm bound.  The ``nev`` states come from
+    ``spectral._momentum_scan`` at the quarter's one empty momentum, their
+    degenerate clusters rotated onto the quadrants.
     """
     if model.dimension != 2:
         raise ValueError("corner counting is for 2d models")
@@ -194,14 +195,12 @@ def corner_index(
             "modes are not isolated"
         )
     geo = quarter_geometry(side)
-    ham = instantiate(model, geo)
-    scale = spectral_norm_bound(ham.matrix)
-    vals, vecs = near_zero_states(ham.matrix, nev, seed=seed)
     part = corner_regions(geo, model.norb)
-    vecs = _disentangle_clusters(vals, vecs, part)
-    sites = geo.site_array()
-    box = (sites[:, 0] < CORNER_BOX) & (sites[:, 1] < CORNER_BOX)
-    box_diag = np.repeat(box.astype(float), model.norb)
+    data, (vecs,) = _momentum_scan(model, geo, np.zeros((1, 0)), nev, part, seed, keep_vectors=True)
+    vals, weights = data.energies[0], data.weights[0].T
+    # a norm bound of H: the largest row sum of |w| over all hoppings, which
+    # every interior site of the quarter attains
+    scale = spectral_norm_bound(np.hstack(list(model.hoppings.values())))
     zero = np.abs(vals) <= ZERO_MODE_TOL * scale
     band = ~zero & (np.abs(vals) <= 100 * ZERO_MODE_TOL * scale)
     if np.any(band):
@@ -211,23 +210,17 @@ def corner_index(
         )
     if np.all(zero):
         warnings.append("window filled with zero modes; counts may be partial")
-    weights = part.weights(vecs)
-    corner_row = part.names.index("corner")
-    gamma_diag = np.tile(np.real(np.diag(model.chirality)), len(sites))
-    keep = zero & (weights[corner_row] > WEIGHT_THRESHOLD)
-    kept_vecs = vecs[:, keep]
-    gamma_vals = np.real(
-        np.sum(kept_vecs.conj() * (gamma_diag[:, None] * kept_vecs), axis=0)
-    )
-    index = 0
-    for gv in gamma_vals:
-        index += _round_integer(float(gv), "zero-mode chirality")
-    box_w = box_diag @ (np.abs(vecs) ** 2)
+    corner = weights[part.names.index("corner")]
+    x, y = geo.site_array().T
+    box = RegionPartition(("box",), {"box": np.flatnonzero((x < CORNER_BOX) & (y < CORNER_BOX))},
+                          model.norb)
+    grading = np.tile(np.real(np.diag(model.chirality)), len(x))
+    gamma_vals, index = _graded_count(vecs[:, zero & (corner > WEIGHT_THRESHOLD)], grading)
     return CornerReport(
         index=index,
         zero_energies=vals[zero],
-        corner_weights=weights[corner_row][zero],
-        box_weights=box_w[zero],
+        corner_weights=corner[zero],
+        box_weights=box.weights(vecs)[0][zero],
         chirality_values=gamma_vals,
         edge_gap=egap,
         warnings=warnings,
@@ -259,21 +252,14 @@ def face_layer_index(side: int = 24) -> int:
     h = sp.bmat([[None, v.conj().T], [v, None]], format="csr")
     vals, vecs = near_zero_states(h, 8)
     zero = np.abs(vals) <= 1e-10
-    box_diag = np.tile(((x < CORNER_BOX) & (y < CORNER_BOX)).astype(float), 2)
-    # the kernel is degenerate across near and far corners: rotate it to
-    # diagonalize the box projector so the filter sees unmixed modes
-    z = vecs[:, zero]
-    w = z.conj().T @ (box_diag[:, None] * z)
-    _, rot = np.linalg.eigh(0.5 * (w + w.conj().T))
-    z = z @ rot
-    gamma = np.concatenate([np.ones(n), -np.ones(n)])
-    index = 0
-    for j in range(z.shape[1]):
-        if box_diag @ (np.abs(z[:, j]) ** 2) > 0.9:
-            index += _round_integer(
-                float(gamma @ (np.abs(z[:, j]) ** 2)), "zero-mode chirality"
-            )
-    return index
+    # the kernel is degenerate across near and far corners: rotate it onto
+    # the corner box and the rest (of both chiral blocks, one orbital per
+    # entry) so the filter sees unmixed modes
+    in_box = np.tile((x < CORNER_BOX) & (y < CORNER_BOX), 2)
+    part = RegionPartition(("box", "rest"), {"box": np.flatnonzero(in_box),
+                                             "rest": np.flatnonzero(~in_box)}, 1)
+    z = _disentangle_clusters(vals[zero], vecs[:, zero], part)
+    return _graded_count(z[:, part.weights(z)[0] > 0.9], np.repeat([1.0, -1.0], n))[1]
 
 
 # ---------------------------------------------------------------------------

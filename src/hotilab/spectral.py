@@ -8,9 +8,10 @@ that is freed before a Ritz step on the orthonormalized result, with a
 seeded start vector.  ``near_zero_states`` alone chooses between them,
 on the matrix size: dense up to ``DENSE_CUTOFF`` (a module constant, not
 an option of any caller or config), sparse above it; both share one
-window pick and one residual check.  Band scans build a model's assembly
-once and evaluate it per momentum, solve real matrices in the gauge of
-``symmetry.real_gauge`` when it finds one, and attach per-region spatial
+window pick and one residual check.  Every near-zero solve of a hopping
+model runs in one momentum-scan loop, which builds the assembly
+once and evaluates it per momentum, solves real matrices in the gauge of
+``symmetry.real_gauge`` when it finds one, and attaches per-region spatial
 weights (regions are masks on the geometry's site array), disentangling
 degenerate clusters so weights are stable under basis ambiguity.  Gap
 scans (slabs, edges, the bulk) run one dense ``eigvalsh`` loop,
@@ -282,7 +283,10 @@ def _momentum_scan(
     seed: int,
     keep_vectors: bool = False,
 ):
-    """The one momentum-scan loop, behind ``band_structure`` and the hinge flow.
+    """The one momentum-scan loop: every near-zero solve of a hopping model
+    (``band_structure``, the hinge flow, the corner index and the ``cli``
+    spectrum and cube scans) runs here.  A geometry with no periodic
+    direction is scanned at its one empty momentum, ``np.zeros((1, 0))``.
 
     Solves the ``nev`` states nearest zero (all when None) on one assembly,
     of the real part of D^dag H(k) D (D = 1 (x) V on every site) where
@@ -292,13 +296,14 @@ def _momentum_scan(
     -momenta[i]) where ``momentum_reversal`` finds an element, only the
     first ceil(n/2) momenta are solved: the window at -k is the mapped
     window at k, with the same energies, and must pass the same residual
-    check against H(-k).  Returns the band data and, with ``keep_vectors``,
+    check against H(-k).  A scan of one momentum maps nothing, so it seeks
+    no such element.  Returns the band data and, with ``keep_vectors``,
     every window's (disentangled) eigenvectors.
     """
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
     asm = Assembly(model, geometry)
     n = len(momenta)
-    symmetric = np.all(np.abs(momenta + momenta[::-1]) <= 1e-12)
+    symmetric = n > 1 and np.all(np.abs(momenta + momenta[::-1]) <= 1e-12)
     reversal = momentum_reversal(model, geometry) if symmetric else None
     nsolve, nwant = n if reversal is None else (n + 1) // 2, asm.dim if nev is None else nev
     gauge = real_gauge(model, geometry)
@@ -413,7 +418,7 @@ def slab_gap_scan(model: HoppingModel, direction: int, depth: int, nk: int) -> f
     return _orbit_gap(slab_bloch(model, direction, depth), nk, model.dimension - 1, elements)
 
 
-def minimum_bulk_gap(model: HoppingModel, resolution: int = 21) -> float:
+def minimum_bulk_gap(model: HoppingModel, resolution: int) -> float:
     """Min |E| of the Bloch spectrum over a uniform momentum grid, at one
     momentum per orbit of every covariant element's k-map, spot-checked."""
     elements = covariant_elements(model, bulk_geometry(model.dimension))

@@ -7,12 +7,13 @@ live in the acceptance suite.
 import ast
 import json
 import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hotilab import cli, spectral
+from hotilab import cli, invariants, spectral
 from hotilab.cli import (
     CLAIMS,
     DEFAULT_SOLVER,
@@ -383,6 +384,27 @@ def test_spectrum_weights_do_not_depend_on_the_solver_seed(tmp_path, monkeypatch
     for other in rows[1:]:
         assert np.array_equal(other[:, 1], rows[0][:, 1])
         assert np.max(np.abs(other[:, 2:] - rows[0][:, 2:])) < 1e-8
+
+
+def test_every_near_zero_solve_of_a_model_runs_in_the_scan_loop(tmp_path, monkeypatch):
+    # the spectrum task, the cube scan and the corner index read their
+    # states from spectral._momentum_scan, which alone calls the router
+    callers = []
+    solve = spectral.near_zero_states
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return solve(*args, **kwargs)
+
+    for module in (spectral, cli, invariants):
+        if hasattr(module, "near_zero_states"):
+            monkeypatch.setattr(module, "near_zero_states", spy)
+    for geometry in ({"kind": "wire", "side": 6}, {"kind": "cube", "side": 4}):
+        cfg = tiny_config(geometry=geometry, tasks=["spectrum"], solver={"nev": 4})
+        run_config(validate_config(cfg), tmp_path / geometry["kind"])
+    Scans(DEFAULT_SOLVER).cube("ham3-cube6", builtin_model("ham3"), cube_geometry(6))
+    invariants.corner_index(builtin_model("chiral-quarter-uC"), side=12)
+    assert callers == ["_momentum_scan"] * 4
 
 
 def test_main_run_success_exit_zero(tmp_path, capsys):

@@ -65,17 +65,17 @@ def d_field_degree(m, n=60):
 
 
 def test_chern_two_band_phases():
-    assert chern_number_2d(two_band(-1.0), resolution=18) == -1
-    assert chern_number_2d(two_band(1.0), resolution=18) == 1
-    assert chern_number_2d(two_band(-3.0), resolution=18) == 0
-    assert chern_number_2d(two_band(3.0), resolution=18) == 0
+    assert chern_number_2d(two_band(-1.0).bloch, resolution=18) == -1
+    assert chern_number_2d(two_band(1.0).bloch, resolution=18) == 1
+    assert chern_number_2d(two_band(-3.0).bloch, resolution=18) == 0
+    assert chern_number_2d(two_band(3.0).bloch, resolution=18) == 0
 
 
 def test_chern_is_minus_d_field_degree():
     # occupied band is anti-aligned with d, so the two conventions differ
     # by a sign; pin the relation rather than each value separately
     for m in (-1.0, 1.0):
-        assert chern_number_2d(two_band(m), resolution=18) == -d_field_degree(m)
+        assert chern_number_2d(two_band(m).bloch, resolution=18) == -d_field_degree(m)
 
 
 def test_chern_gauge_invariance():
@@ -89,7 +89,7 @@ def test_chern_gauge_invariance():
 def test_chern_rejects_gapless():
     # m = -2 closes the gap at k = (pi, 0)
     with pytest.raises(RuntimeError):
-        chern_number_2d(two_band(-2.0), resolution=18)
+        chern_number_2d(two_band(-2.0).bloch, resolution=18)
 
 
 def test_plane_cherns_vanish_for_inversion_model():
@@ -107,16 +107,19 @@ def test_chiral_block_requires_grading():
 
 
 def test_corner_index_quarter_model():
-    rep = corner_index(builtin_model("chiral-quarter-uC"), side=16)
-    assert rep.index == -1
-    # one exact zero per corner of the finite box; only the origin one
-    # passes the quadrant filter and contributes a chirality value
-    assert len(rep.zero_energies) == 4
-    assert np.max(np.abs(rep.zero_energies)) < 1e-8
-    assert np.max(rep.corner_weights) > 0.9
-    assert np.max(rep.box_weights) > 0.9
-    assert list(rep.chirality_values) == pytest.approx([-1.0], abs=1e-8)
-    assert rep.edge_gap == pytest.approx(np.sqrt(2) / 2, abs=1e-6)
+    # side 16 is solved densely; side 24 (dimension 2304) takes the sparse
+    # route on the exact kernel, in the quarter's real gauge
+    for side in (16, 24):
+        rep = corner_index(builtin_model("chiral-quarter-uC"), side=side)
+        assert rep.index == -1
+        # one exact zero per corner of the finite box; only the origin one
+        # passes the quadrant filter and contributes a chirality value
+        assert len(rep.zero_energies) == 4
+        assert np.max(np.abs(rep.zero_energies)) < 1e-8
+        assert np.max(rep.corner_weights) > 0.9
+        assert np.max(rep.box_weights) > 0.9
+        assert list(rep.chirality_values) == pytest.approx([-1.0], abs=1e-8)
+        assert rep.edge_gap == pytest.approx(np.sqrt(2) / 2, abs=1e-6)
 
 
 def test_corner_index_requires_gapped_edges():

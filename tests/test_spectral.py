@@ -322,6 +322,17 @@ def test_band_scan_without_reversal_solves_every_momentum(monkeypatch):
     assert data.energies.shape == (9, 8) and data.weights.shape == (9, 8, 9)
 
 
+@pytest.mark.parametrize("mname, geo", [
+    ("ham1", cube_geometry(4)), ("chiral-quarter-uC", quarter_geometry(6)),
+], ids=["cube", "quarter"])
+def test_scan_without_periodic_directions_maps_no_momentum(mname, geo):
+    # an empty k-map equals -1 vacuously: the one empty momentum of a cube
+    # or a quarter is solved, never filled by a k-reversing element
+    data = band_structure(builtin_model(mname), geo, np.zeros((1, 0)), window=4)
+    assert data.k_reversal is None and data.solved_momenta == 1
+    assert data.energies.shape == (1, 4)
+
+
 def test_band_csv_roundtrip(tmp_path):
     m = builtin_model("ham1")
     geo = wire_geometry(3, 8)
