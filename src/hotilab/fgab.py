@@ -5,7 +5,8 @@ Everything in this module is integer-exact: matrices are numpy arrays with
 A group is presented as Z^n modulo the column span of a relation matrix;
 subgroups of a presented group are integer lattices between the relation
 lattice and Z^n, canonicalized by a column Hermite form.  Smith normal form
-returns the full transform pair (U, D, V) with U M V = D exactly.
+returns the full transform pair (U, D, V) with U M V = D exactly.  Both
+kernels compute on lists of Python ints and return object arrays.
 
 Each group factors its relations once, on first use, and membership
 (``is_zero``, for a vector or every column of a matrix) reads U x modulo
@@ -70,8 +71,25 @@ def _as_imat(m) -> np.ndarray:
     return imat(m)
 
 
+def _from_rows(rows, n: int, m: int) -> np.ndarray:
+    """The n x m object array of an iterable of rows (n or m may be 0)."""
+    return np.array(list(rows), dtype=object).reshape(n, m)
+
+
 # ---------------------------------------------------------------------------
 # Smith normal form
+
+def _least_entry(d: list[list[int]], t: int):
+    """(i, j) of the first nonzero d[i][j] of least magnitude with i, j >= t."""
+    best = pivot = None
+    for i in range(t, len(d)):
+        for j, a in enumerate(d[i][t:], t):
+            if a and (best is None or abs(a) < best):
+                best, pivot = abs(a), (i, j)
+                if best == 1:
+                    return pivot
+    return pivot
+
 
 def smith_normal_form(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (U, D, V) with U m V = D, U and V unimodular, D diagonal.
@@ -79,78 +97,63 @@ def smith_normal_form(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Diagonal entries are nonnegative and each divides the next.  Exact over
     Python ints; no size limits.
     """
-    d = _as_imat(m).copy()
-    rows, cols = d.shape
-    u = ieye(rows)
-    v = ieye(cols)
-
-    def swap_rows(i, j):
-        d[[i, j], :] = d[[j, i], :]
-        u[[i, j], :] = u[[j, i], :]
-
-    def swap_cols(i, j):
-        d[:, [i, j]] = d[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
+    mat = _as_imat(m)
+    rows, cols = mat.shape
+    d = [list(map(int, r)) for r in mat.tolist()]
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    # V transposed, so that a column operation on V is a row operation
+    vt = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
     def add_row(src, dst, c):  # row[dst] += c * row[src]
-        d[dst, :] += c * d[src, :]
-        u[dst, :] += c * u[src, :]
+        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
+        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def add_col(src, dst, c):
-        d[:, dst] += c * d[:, src]
-        v[:, dst] += c * v[:, src]
+        for r in d:
+            r[dst] += c * r[src]
+        vt[dst] = [x + c * y for x, y in zip(vt[dst], vt[src])]
 
     t = 0
     while t < min(rows, cols):
         # pick the nonzero pivot of least magnitude in the remaining block
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                a = d[i, j]
-                if a != 0 and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pivot = (i, j)
+        pivot = _least_entry(d, t)
         if pivot is None:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        i, j = pivot
+        d[t], d[i] = d[i], d[t]
+        u[t], u[i] = u[i], u[t]
+        if j != t:
+            for r in d:
+                r[t], r[j] = r[j], r[t]
+            vt[t], vt[j] = vt[j], vt[t]
 
+        p = d[t][t]
         dirty = False
         for i in range(t + 1, rows):
-            if d[i, t] != 0:
-                q = d[i, t] // d[t, t]
-                add_row(t, i, -q)
-                if d[i, t] != 0:
-                    dirty = True
+            if d[i][t]:
+                add_row(t, i, -(d[i][t] // p))
+                dirty = dirty or d[i][t] != 0
         for j in range(t + 1, cols):
-            if d[t, j] != 0:
-                q = d[t, j] // d[t, t]
-                add_col(t, j, -q)
-                if d[t, j] != 0:
-                    dirty = True
+            if d[t][j]:
+                add_col(t, j, -(d[t][j] // p))
+                dirty = dirty or d[t][j] != 0
         if dirty:
             continue  # remainder became the new smallest entry; re-pivot
 
         # divisibility sweep: pivot must divide the whole remaining block
-        offender = None
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if d[i, j] % d[t, t] != 0:
-                    offender = i
-                    break
+        if abs(p) != 1:
+            offender = next((i for i in range(t + 1, rows)
+                             if any(x % p for x in d[i][t + 1:])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
+                add_row(offender, t, 1)
+                continue
 
-        if d[t, t] < 0:
-            d[t, :] = -d[t, :]
-            u[t, :] = -u[t, :]
+        if p < 0:
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
         t += 1
 
-    return u, d, v
+    return _from_rows(u, rows, rows), _from_rows(d, rows, cols), _from_rows(zip(*vt), cols, cols)
 
 
 def integer_rank(m) -> int:
@@ -168,41 +171,43 @@ def hermite_column_form(m) -> np.ndarray:
     to the right of each pivot reduced into [0, pivot).  Unique for a given
     column lattice, so usable as a canonical form.
     """
-    a = _as_imat(m).copy()
-    n, k = a.shape
-    if k == 0:
-        return a.reshape(n, 0)
+    mat = _as_imat(m)
+    n, k = mat.shape
+    a = [list(map(int, c)) for c in mat.T.tolist()]  # the columns
     row = 0
     col = 0
     while row < n and col < k:
         # gcd-sweep columns col..k-1 on this row
         while True:
-            nz = [j for j in range(col, k) if a[row, j] != 0]
+            nz = [(abs(a[j][row]), j) for j in range(col, k) if a[j][row]]
             if not nz:
                 break
-            j0 = min(nz, key=lambda j: abs(a[row, j]))
+            j0 = min(nz)[1]  # least magnitude, the first of equals
             if j0 != col:
-                a[:, [col, j0]] = a[:, [j0, col]]
+                a[col], a[j0] = a[j0], a[col]
+            p = a[col][row]
             done = True
             for j in range(col + 1, k):
-                if a[row, j] != 0:
-                    q = a[row, j] // a[row, col]
-                    a[:, j] -= q * a[:, col]
-                    if a[row, j] != 0:
-                        done = False
+                if a[j][row]:
+                    q = a[j][row] // p
+                    a[j] = [x - q * y for x, y in zip(a[j], a[col])]
+                    done = done and a[j][row] == 0
             if done:
                 break
-        if a[row, col] != 0:
-            if a[row, col] < 0:
-                a[:, col] = -a[:, col]
+        p = a[col][row]
+        if p:
+            if p < 0:
+                a[col] = [-x for x in a[col]]
+                p = -p
             # reduce earlier columns against this pivot
             for j in range(col):
-                q = a[row, j] // a[row, col]
-                a[:, j] -= q * a[:, col]
+                q = a[j][row] // p
+                if q:
+                    a[j] = [x - q * y for x, y in zip(a[j], a[col])]
             col += 1
         row += 1
     # drop zero columns (all beyond `col` are zero by construction)
-    return a[:, :col]
+    return _from_rows(zip(*a[:col]), n, col)
 
 
 def solve_integer(m, b):
@@ -219,21 +224,14 @@ def solve_integer(m, b):
     u, d, v = smith_normal_form(m)
     c = u @ bb
     n, k = d.shape
-    s = bb.shape[1]
-    y = izeros(k, s)
-    for jcol in range(s):
-        for i in range(min(n, k)):
-            di = d[i, i]
-            if di == 0:
-                if c[i, jcol] != 0:
-                    return None
-            else:
-                if c[i, jcol] % di != 0:
-                    return None
-                y[i, jcol] = c[i, jcol] // di
-        for i in range(min(n, k), n):
-            if c[i, jcol] != 0:
-                return None
+    y = izeros(k, bb.shape[1])
+    for i in range(n):
+        # row i of U b must vanish where D has no pivot, else be its multiple
+        di = d[i, i] if i < k else 0
+        if any(x % di if di else x for x in c[i]):
+            return None
+        if di:
+            y[i] = c[i] // di
     return v @ y  # always k x s, even for vector-shaped b
 
 

@@ -174,7 +174,7 @@ class RegionPartition:
     """Named site-index sets on a geometry, for spatial weights of states."""
 
     names: tuple[str, ...]
-    site_indices: dict[str, np.ndarray]  # indices into geometry.sites()
+    site_indices: dict[str, np.ndarray]  # rows of geometry.site_array()
     norb: int
 
     def projector_diagonal(self, name: str, dim: int) -> np.ndarray:

@@ -68,15 +68,20 @@ def _check_snf(m):
                 assert d[i, j] == 0
 
 
-matrix_strategy = st.integers(min_value=1, max_value=5).flatmap(
-    lambda n: st.integers(min_value=1, max_value=5).flatmap(
-        lambda m: st.lists(
-            st.lists(st.integers(min_value=-30, max_value=30), min_size=m, max_size=m),
-            min_size=n,
-            max_size=n,
-        )
+def matrices(max_side, entries=st.integers(min_value=-30, max_value=30)):
+    """n x m object matrices of Python ints, 0 <= n, m <= max_side."""
+    side = st.integers(min_value=0, max_value=max_side)
+    return st.tuples(side, side).flatmap(
+        lambda shape: st.lists(
+            st.lists(entries, min_size=shape[1], max_size=shape[1]),
+            min_size=shape[0],
+            max_size=shape[0],
+        ).map(lambda rows: np.array(rows, dtype=object).reshape(shape))
     )
-)
+
+
+# shapes from 0 x 0: empty row and column sets are common in page turns
+matrix_strategy = matrices(5)
 
 
 @settings(max_examples=80, deadline=None)
@@ -92,6 +97,170 @@ def test_snf_large_entries():
     assert np.array_equal(u @ imat(m) @ v, d)
     assert int(d[0, 0]) == 1
     assert int(d[1, 1]) == 10**40 - 1
+
+
+def test_snf_numpy_int64_input_stays_exact():
+    # int64 input must not keep int64 arithmetic: 2**124 - 1 overflows it
+    m = [[2**62, 1], [1, 2**62]]
+    for given_m in (np.array(m, dtype=np.int64),
+                    np.array([[np.int64(x) for x in r] for r in m], dtype=object)):
+        u, d, v = smith_normal_form(given_m)
+        assert d.tolist() == [[1, 0], [0, 2**124 - 1]]
+        assert np.array_equal(u @ imat(m) @ v, d)
+        for out in (u, d, v):
+            assert out.dtype == object
+            assert all(type(x) is int for x in out.flat)
+    h = hermite_column_form(np.array(m, dtype=np.int64))
+    assert all(type(x) is int for x in h.flat)
+
+
+# ---------------------------------------------------------------------------
+# independent reference: the same two algorithms, step for step, on numpy
+# object arrays; the list kernels must agree with them entry for entry
+
+
+def reference_smith_normal_form(m):
+    d = fgab._as_imat(m).copy()
+    rows, cols = d.shape
+    u = ieye(rows)
+    v = ieye(cols)
+
+    def swap_rows(i, j):
+        d[[i, j], :] = d[[j, i], :]
+        u[[i, j], :] = u[[j, i], :]
+
+    def swap_cols(i, j):
+        d[:, [i, j]] = d[:, [j, i]]
+        v[:, [i, j]] = v[:, [j, i]]
+
+    def add_row(src, dst, c):  # row[dst] += c * row[src]
+        d[dst, :] += c * d[src, :]
+        u[dst, :] += c * u[src, :]
+
+    def add_col(src, dst, c):
+        d[:, dst] += c * d[:, src]
+        v[:, dst] += c * v[:, src]
+
+    t = 0
+    while t < min(rows, cols):
+        # pick the nonzero pivot of least magnitude in the remaining block
+        pivot = None
+        best = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                a = d[i, j]
+                if a != 0 and (best is None or abs(a) < best):
+                    best = abs(a)
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        swap_rows(t, pivot[0])
+        swap_cols(t, pivot[1])
+
+        dirty = False
+        for i in range(t + 1, rows):
+            if d[i, t] != 0:
+                q = d[i, t] // d[t, t]
+                add_row(t, i, -q)
+                if d[i, t] != 0:
+                    dirty = True
+        for j in range(t + 1, cols):
+            if d[t, j] != 0:
+                q = d[t, j] // d[t, t]
+                add_col(t, j, -q)
+                if d[t, j] != 0:
+                    dirty = True
+        if dirty:
+            continue  # remainder became the new smallest entry; re-pivot
+
+        # divisibility sweep: pivot must divide the whole remaining block
+        offender = None
+        for i in range(t + 1, rows):
+            for j in range(t + 1, cols):
+                if d[i, j] % d[t, t] != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            add_row(offender, t, 1)
+            continue
+
+        if d[t, t] < 0:
+            d[t, :] = -d[t, :]
+            u[t, :] = -u[t, :]
+        t += 1
+
+    return u, d, v
+
+
+def reference_hermite_column_form(m):
+    a = fgab._as_imat(m).copy()
+    n, k = a.shape
+    if k == 0:
+        return a.reshape(n, 0)
+    row = 0
+    col = 0
+    while row < n and col < k:
+        # gcd-sweep columns col..k-1 on this row
+        while True:
+            nz = [j for j in range(col, k) if a[row, j] != 0]
+            if not nz:
+                break
+            j0 = min(nz, key=lambda j: abs(a[row, j]))
+            if j0 != col:
+                a[:, [col, j0]] = a[:, [j0, col]]
+            done = True
+            for j in range(col + 1, k):
+                if a[row, j] != 0:
+                    q = a[row, j] // a[row, col]
+                    a[:, j] -= q * a[:, col]
+                    if a[row, j] != 0:
+                        done = False
+            if done:
+                break
+        if a[row, col] != 0:
+            if a[row, col] < 0:
+                a[:, col] = -a[:, col]
+            # reduce earlier columns against this pivot
+            for j in range(col):
+                q = a[row, j] // a[row, col]
+                a[:, j] -= q * a[:, col]
+            col += 1
+        row += 1
+    return a[:, :col]
+
+
+def _assert_identical(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == object
+    assert all(type(x) is int for x in got.flat)
+    assert got.tolist() == want.tolist()
+
+
+def _assert_kernels_match_reference(m):
+    for got, want in zip(smith_normal_form(m), reference_smith_normal_form(m)):
+        _assert_identical(got, want)
+    _assert_identical(hermite_column_form(m), reference_hermite_column_form(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(6))
+def test_kernels_match_reference(m):
+    _assert_kernels_match_reference(m)
+
+
+beyond_int64 = st.one_of(
+    st.integers(min_value=-30, max_value=30),
+    st.integers(min_value=2**63, max_value=2**80),
+    st.integers(min_value=-(2**80), max_value=-(2**63)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(6, beyond_int64))
+def test_kernels_match_reference_beyond_int64(m):
+    _assert_kernels_match_reference(m)
 
 
 # ---------------------------------------------------------------------------
