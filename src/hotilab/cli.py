@@ -6,8 +6,8 @@ Subcommands
     reproduce ID          canned desk-scale data sets, checked against CLAIMS
     kss WHICH             exact-couple page and boundary-map report (JSON)
     transversal WHICH     pattern-class listing with filtration sizes (JSON)
-    check-symmetry M A    covariance and projective-relation verdict (JSON)
-                          of a built-in model or a model JSON file M
+    check-symmetry M A    whether model M (a built-in name or a model JSON
+                          file) has the named symmetry element A (JSON)
 
 Exit codes: 0 success, 1 when a reproduced claim is an unexpected FAIL or
 XPASS, 2 config validation error (with field-path diagnostics), 3
@@ -86,8 +86,10 @@ from .spectral import (
 from .symmetry import (
     BUILTIN_ACTIONS,
     SymmetryAction,
+    _ACTION_TABLE,
     builtin_action,
     check_covariance,
+    generator_order,
     verify_projective_relations,
 )
 
@@ -385,8 +387,7 @@ def _task_invariants(model, geometry, scans, outdir, label):
         out["bulk_gap"] = scans.gap(label, model, geometry)
         klass = MODEL_CLASS.get(model.name)
         if klass == "inversion":
-            parity_op = builtin_action("inversion").unitary
-            out["trim"] = trim_parities(model, parity_op).to_dict()
+            out["trim"] = trim_parities(model, builtin_action("inversion", model).u).to_dict()
     else:
         _fail("geometry", "no invariant defined for this model/geometry combination")
     path = outdir / f"invariants-{label}.json"
@@ -435,18 +436,19 @@ def _transversal_report(name: str, seeds: list) -> dict:
     }
 
 
-def _symmetry_report(model: HoppingModel, action: SymmetryAction) -> dict:
-    cov_ok, cov_defect = check_covariance(model, action)
-    rel_ok, rel_defect = verify_projective_relations(action)
-    return {
-        "model": model.name,
-        "action": action.name,
-        "covariant": bool(cov_ok),
-        "covariance_defect": float(cov_defect),
-        "relations_ok": bool(rel_ok),
-        "relation_defect": float(rel_defect),
-        "group_order": action.order,
-    }
+def _symmetry_report(model: HoppingModel, name: str) -> dict:
+    """Whether the model has the named (S, anti, chiral), by how many unitaries, and the
+    defects and relations of the solved U when exactly one unitary solves it (else null)."""
+    el = builtin_action(name, model)
+    rep = {"model": model.name, "action": name, "group_order": generator_order(*_ACTION_TABLE[name]),
+           "covariant": el is not None, "solutions": el.solutions if el else 0,
+           "covariance_defect": None, "relations_ok": None, "relation_defect": None}
+    if el is not None and el.solutions == 1:
+        action = SymmetryAction(el.u, el.s, el.anti, el.chiral, name)
+        rel_ok, rel_defect = verify_projective_relations(action)
+        rep.update(covariance_defect=float(check_covariance(model, action)[1]),
+                   relations_ok=bool(rel_ok), relation_defect=float(rel_defect))
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -822,10 +824,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("which", help=f"one of {', '.join(PRESET_NAMES)} or a JSON path")
     p = sub.add_parser("transversal", help="pattern classes and filtration sizes")
     p.add_argument("which", help=f"{'|'.join(BUILTIN_SEEDS)} or a JSON path")
-    p = sub.add_parser("check-symmetry", help="covariance/relations verdict")
+    p = sub.add_parser("check-symmetry", help="whether a model has a named symmetry element")
     p.add_argument("model", help=f"one of {', '.join(BUILTIN_MODELS)} or a model JSON path")
-    p.add_argument("action", help=f"one of {', '.join(BUILTIN_ACTIONS)}")
-    p.add_argument("--gamma", type=float, default=None, help="gamma of a built-in model (0.5)")
+    p.add_argument("action", help=f"one of {', '.join(BUILTIN_ACTIONS)}, each an (S, anti, chiral) "
+                   "whose unitary is solved from the model")
+    p.add_argument("--gamma", type=float, default=None, help=f"gamma of {', '.join(MODEL_CLASS)} (0.5)")
     for p in sub.choices.values():
         p.add_argument("--out", default=None, help="output directory")
     return ap
@@ -931,22 +934,20 @@ def _cmd_transversal(args) -> int:
 def _cmd_check_symmetry(args) -> int:
     if args.gamma is not None and not math.isfinite(args.gamma):
         _fail("--gamma", f"expected a finite number, got {args.gamma!r}")
-
-    def from_file(doc) -> HoppingModel:
-        if args.gamma is not None:
-            _fail("--gamma", "applies to a built-in model name; a model file sets its own")
-        return model_from_dict(doc)
-
+    if args.gamma is not None and args.model not in MODEL_CLASS:
+        _fail("--gamma", f"applies to {', '.join(MODEL_CLASS)}; {args.model} sets its own or takes none")
     model = _named_or_file(args.model, "model", BUILTIN_MODELS, ("model", "model description"),
                            lambda n: builtin_model(n, 0.5 if args.gamma is None else args.gamma),
-                           from_file)
+                           model_from_dict)
     if args.action not in BUILTIN_ACTIONS:
         _fail("action", f"unknown action {args.action!r}; have {', '.join(BUILTIN_ACTIONS)}")
-    action = builtin_action(args.action)
-    if (model.dimension, model.norb) != (action.dimension, action.norb):
-        _fail("action", f"{args.action} acts on {action.dimension}D models with {action.norb} "
-              f"orbitals; {model.name or 'the model'} is {model.dimension}D with {model.norb}")
-    rep = _symmetry_report(model, action)
+    s, _, chiral = _ACTION_TABLE[args.action]
+    if len(s) != model.dimension:
+        _fail("action", f"{args.action} acts on {len(s)}D models; {model.name or 'the model'} is "
+              f"{model.dimension}D")
+    if chiral and model.chirality is None:
+        _fail("action", f"{args.action} is chiral; {model.name or 'the model'} has no chirality grading")
+    rep = _symmetry_report(model, args.action)
     return _report(args.out, f"symmetry-{model.name or 'custom'}-{args.action}.json", rep)
 
 

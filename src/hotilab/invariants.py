@@ -310,7 +310,7 @@ def hinge_spectral_flow(
 
     The windows come from ``spectral._momentum_scan``, the scan loop
     behind ``band_structure``, and all of them are kept for the matching.
-    The midpoint grid is symmetric about k = 0, so when a built-in symmetry
+    The midpoint grid is symmetric about k = 0, so when a solved symmetry
     element of the model maps H(k) onto H(-k) on the wire
     (``symmetry.momentum_reversal``) only ceil(nk/2) momenta are solved and
     each window at -k is the residual-checked image of the window at k.

@@ -2,16 +2,13 @@
 
 A symmetry element acts by a point-group matrix S on displacements, an
 orbital unitary U, an antiunitary flag phi and a chirality flag c (whether it
-anticommutes with the Hamiltonian); ``Element`` is that record, shared by the
-named actions and the finder.  A named action is cyclic, given by its
-generator (S, U, phi, c): its powers and its U(1) cocycle (Freed & Moore's
-phi-twisted one) are derived from the matrices, never assumed, so projective
-relations like (C4.T)^4 = -1 are facts about matrices, not inputs.
-
-``covariant_elements`` solves each element's orbital unitary from the model's
-hoppings, once per model content, and shares one defect routine with
-``check_covariance``.  The table of named actions (``builtin_action``) serves
-``check-symmetry``, ``symmetrize`` and the parity operator of ``trim_parities``.
+anticommutes with the Hamiltonian); ``Element`` is that record.  The finder
+solves U from the model's hoppings for every (S, phi, c) the model has, once
+per model content; ``covariant_elements`` yields those that fit a geometry,
+and a named action (``builtin_action``) is one (S, phi, c) asked of it.  A
+``SymmetryAction`` is the cyclic group one element generates: its order,
+powers and U(1) cocycle (Freed & Moore's phi-twisted one) are derived, never
+assumed, so projective relations like (C4.T)^4 = -1 are facts about a model.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ import numpy as np
 import scipy.linalg
 
 from .fgab import ieye, imat
-from .models import Geometry, HoppingModel, s0, s1, s2, s3
+from .models import Geometry, HoppingModel
 
 __all__ = [
     "SymmetryAction",
@@ -34,6 +31,7 @@ __all__ = [
     "check_covariance",
     "CovariantElement",
     "covariant_elements",
+    "generator_order",
     "momentum_reversal",
     "real_gauge",
     "symmetrize",
@@ -70,72 +68,69 @@ class Element(NamedTuple):
     u: np.ndarray
     anti: int
     chiral: int
+    solutions: int = 1  # dimension of the space the finder solved U from; 1 for a given U
+
+
+def generator_order(s, anti: int, chiral: int) -> int:
+    """The least n with S^n = 1 and with n*anti and n*chiral even."""
+    s, power = imat(s), imat(s)
+    for n in range(1, MAX_GROUP_ORDER + 1):
+        if np.array_equal(power, ieye(len(s))) and n * (anti | chiral) % 2 == 0:
+            return n
+        power = s @ power
+    raise ValueError(f"no n up to the cap, {MAX_GROUP_ORDER}, has S^n = 1 and n*anti, n*chiral even")
 
 
 @dataclass
 class SymmetryAction:
     """Twisted action of Z_order generated by one element: ``unitary`` U on
     orbitals, ``matrix`` S on displacements, conjugating when ``antiunitary``
-    and anticommuting with H when ``chiral``.  ``elements`` are the powers
+    and anticommuting with H when ``chiral``.  ``order`` is
+    ``generator_order`` of (S, anti, chiral), ``elements`` are the powers
     e, g, g^2, ..., and ``cocycle`` maps a label pair (g^j, g^k) to tau with
     U_j conj^phi_j(U_k) = tau U_(j+k mod order)."""
 
-    order: int
     unitary: np.ndarray
     matrix: np.ndarray
     antiunitary: bool = False
     chiral: bool = False
     name: str = ""
+    order: int = field(init=False)
     elements: tuple[Element, ...] = field(init=False)
     cocycle: dict[tuple[str, str], complex] = field(init=False)
 
     def __post_init__(self):
-        n, anti, chiral = self.order, int(self.antiunitary), int(self.chiral)
-        if not 1 <= n <= MAX_GROUP_ORDER:
-            raise ValueError(f"group order {n} is outside 1..{MAX_GROUP_ORDER}, the cap")
+        anti, chiral = int(self.antiunitary), int(self.chiral)
         self.unitary, self.matrix = np.array(self.unitary, dtype=complex), imat(self.matrix)
-        powers = [Element("e", ieye(self.dimension), np.eye(self.norb, dtype=complex), 0, 0)]
+        n = self.order = generator_order(self.matrix, anti, chiral)
+        powers = [Element("e", ieye(len(self.matrix)), np.eye(len(self.unitary), dtype=complex), 0, 0)]
         for j in range(1, n):
             prev = powers[-1]
             powers.append(Element(f"g{'^' + str(j) if j > 1 else ''}", self.matrix @ prev.s,
                                   self.unitary @ _maybe_conj(prev.u, anti),
                                   (j * anti) % 2, (j * chiral) % 2))
-        if not np.array_equal(self.matrix @ powers[-1].s, powers[0].s):
-            raise ValueError(f"S^{n} is not the identity; not a point group of order {n}")
         self.elements = tuple(powers)
         self.cocycle = {
             (g.label, h.label): _scalar_ratio(g.u @ _maybe_conj(h.u, g.anti), powers[(j + k) % n].u)
             for j, g in enumerate(powers) for k, h in enumerate(powers)
         }
 
-    @property
-    def norb(self) -> int:
-        return self.unitary.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.matrix.shape[0]
-
 
 def verify_projective_relations(action: SymmetryAction):
     """Re-derive every product relation from the matrices; return (ok, defect).
 
-    Checks unitarity, spatial/antiunitary/chirality homomorphism properties,
-    |tau| = 1, the twisted cocycle identity
+    Checks unitarity, |tau| = 1, the twisted cocycle identity
     tau(g,h) tau(gh,k) = tau(g,hk) tau(h,k)^sigma(g)  (sigma = conj if g is
     antiunitary), and that U_g conj^phi(g)(U_h) = tau(g,h) U_gh entrywise.
+    S, anti and chiral multiply as the powers do, since the order is derived.
     """
     els, n, tau = action.elements, action.order, action.cocycle
     defect = 0.0
     for g in els:
-        defect = max(defect, float(np.max(np.abs(g.u @ g.u.conj().T - np.eye(action.norb)))))
+        defect = max(defect, float(np.max(np.abs(g.u @ g.u.conj().T - np.eye(len(action.unitary))))))
     for j, g in enumerate(els):
         for k, h in enumerate(els):
             gh = els[(j + k) % n]
-            if (g.anti + h.anti) % 2 != gh.anti or (g.chiral + h.chiral) % 2 != gh.chiral:
-                return False, np.inf
-            if not np.array_equal(g.s @ h.s, gh.s):
-                return False, np.inf
             t, prod = tau[(g.label, h.label)], g.u @ _maybe_conj(h.u, g.anti)
             defect = max(defect, abs(abs(t) - 1.0), float(np.max(np.abs(prod - t * gh.u))))
     for j, g in enumerate(els):
@@ -165,7 +160,7 @@ def check_covariance(
     wtilde is the entrywise conjugate when g is antiunitary.  Returns
     (ok, defect) over all elements and displacements.
     """
-    if model.dimension != action.dimension or model.norb != action.norb:
+    if (model.dimension, model.norb) != (len(action.matrix), len(action.unitary)):
         raise ValueError("model/action shape mismatch")
     defect = max(_element_defect(model, el) for el in action.elements)
     return defect <= tol, defect
@@ -223,7 +218,7 @@ def _solved_elements(model: HoppingModel) -> tuple:
             null = vecs[:, lam <= 1e-12 * lam[-1]]
             x = null @ (rng.normal(size=null.shape[1]) + 1j * rng.normal(size=null.shape[1]))
             left, _, right = np.linalg.svd(x.reshape(n, n))
-            el = Element(label, s, left @ right, anti, chiral)
+            el = Element(label, s, left @ right, anti, chiral, null.shape[1])
             if null.shape[1] and _element_defect(model, el) <= COVARIANCE_TOL:
                 el.u.flags.writeable = False  # shared by every call for this content
                 solved.append(el)
@@ -240,9 +235,9 @@ def covariant_elements(model: HoppingModel, geometry: Geometry) -> Iterator[Cova
     opens, periodic = list(geometry.open_dirs), list(geometry.periodic_dirs)
     shape, strides, lookup = geometry.box_lookup()
     sites = geometry.site_array()[:, opens]
-    for label, s, u, anti, chiral in _solved_elements(model):
-        s_open = s[np.ix_(opens, opens)]
-        if s[np.ix_(opens, periodic)].any() or s[np.ix_(periodic, opens)].any():
+    for el in _solved_elements(model):
+        s_open = el.s[np.ix_(opens, opens)]
+        if el.s[np.ix_(opens, periodic)].any() or el.s[np.ix_(periodic, opens)].any():
             continue
         # shift the image box back so that its lowest corner is the origin
         image = sites @ s_open.T - np.minimum(s_open, 0) @ (shape - 1)
@@ -251,8 +246,8 @@ def covariant_elements(model: HoppingModel, geometry: Geometry) -> Iterator[Cova
         perm = lookup[image @ strides]
         if np.any(perm < 0):
             continue
-        k_map = (-1 if anti else 1) * s[np.ix_(periodic, periodic)]
-        yield CovariantElement(label, perm, u, bool(anti), k_map, bool(chiral))
+        k_map = (-1 if el.anti else 1) * el.s[np.ix_(periodic, periodic)]
+        yield CovariantElement(el.label, perm, el.u, bool(el.anti), k_map, bool(el.chiral))
 
 
 def momentum_reversal(model: HoppingModel, geometry: Geometry) -> CovariantElement | None:
@@ -284,12 +279,10 @@ def symmetrize(model: HoppingModel, action: SymmetryAction) -> HoppingModel:
     the fixed-point transform of the covariance equation.  Idempotent, and
     the identity on already-covariant models.
     """
-    if model.dimension != action.dimension or model.norb != action.norb:
+    if (model.dimension, model.norb) != (len(action.matrix), len(action.unitary)):
         raise ValueError("model/action shape mismatch")
-    els, n = action.elements, action.order
-    deltas = set(model.hoppings)
-    for j in range(n):  # S_g^-1 = S^(n - j) for g = g^j
-        deltas |= {tuple((els[-j].s @ d).tolist()) for d in set(model.hoppings)}
+    els = action.elements  # a group: its images S_g delta are also its preimages
+    deltas = {tuple((g.s @ d).tolist()) for g in els for d in model.hoppings}
     zero = np.zeros((model.norb, model.norb), dtype=complex)
     out = {}
     for d in deltas:
@@ -306,25 +299,31 @@ def symmetrize(model: HoppingModel, action: SymmetryAction) -> HoppingModel:
 
 
 # ---------------------------------------------------------------------------
-# named actions, name -> (order, orbital unitary, point-group matrix, antiunitary, chiral)
+# named actions, name -> (point-group matrix S, antiunitary flag, chiral flag):
+# each is a question to the finder, which solves the model's own unitary
 _ACTION_TABLE = {
-    "inversion": (2, np.kron(s0, s3), ((-1, 0, 0), (0, -1, 0), (0, 0, -1)), False, False),
-    # C2 about the third axis composed with time reversal; squares to +1
-    "C2T": (2, np.kron(s0, s1), ((-1, 0, 0), (0, -1, 0), (0, 0, 1)), True, False),
-    # C4 about the third axis composed with time reversal; fourth power = -1.
-    # Its unitary is s0 (x) s2 diag(e^{i pi/4}, e^{-i pi/4}), scaled column-wise
-    "C4T": (4, np.kron(s0, s2 * np.exp([1j * np.pi / 4, -1j * np.pi / 4])),
-            ((0, -1, 0), (1, 0, 0), (0, 0, 1)), True, False),
-    "T": (2, np.kron(s0, s2), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), True, False),
-    "chiral": (2, np.kron(s3, s0), ((1, 0), (0, 1)), False, True),
-    # swaps the two lattice directions; orbitals already sit in mirror eigenbasis
-    "mirror-diagonal": (2, np.kron(s0, s3), ((0, 1), (1, 0)), False, False),
+    "inversion": (((-1, 0, 0), (0, -1, 0), (0, 0, -1)), 0, 0),
+    "C2T": (((-1, 0, 0), (0, -1, 0), (0, 0, 1)), 1, 0),  # C2 about the third axis, then T
+    "C4T": (((0, -1, 0), (1, 0, 0), (0, 0, 1)), 1, 0),  # C4 about the third axis, then T
+    "T": (((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1, 0),
+    "chiral": (((1, 0), (0, 1)), 0, 1),
+    "mirror-diagonal": (((0, 1), (1, 0)), 0, 0),  # swaps the two lattice directions
 }
 BUILTIN_ACTIONS = tuple(_ACTION_TABLE)
 
 
-def builtin_action(name: str) -> SymmetryAction:
-    """A new action built from the named row of the built-in table."""
-    if name not in _ACTION_TABLE:
-        raise KeyError(f"unknown action {name!r}; have {BUILTIN_ACTIONS}")
-    return SymmetryAction(*_ACTION_TABLE[name], name)
+def builtin_action(name: str, model: HoppingModel) -> Element | None:
+    """The element of ``_solved_elements(model)`` with the named (S, anti,
+    chiral), or None when the model has none.  Its U is scaled by one phase
+    so that U's first entry of largest magnitude is real positive.  A chiral
+    action raises on a model without a chirality grading, on which the
+    finder tries no chiral element."""
+    s, anti, chiral = _ACTION_TABLE[name]
+    if chiral and model.chirality is None:
+        raise ValueError(f"{name} is chiral; {model.name or 'the model'} has no chirality grading")
+    for el in _solved_elements(model):
+        if (el.anti, el.chiral) == (anti, chiral) and np.array_equal(el.s, s):
+            size = np.abs(el.u).ravel()
+            pivot = el.u.flat[np.argmax(size >= size.max() * (1 - 1e-12))]
+            return el._replace(u=el.u * (pivot.conjugate() / abs(pivot)))
+    return None

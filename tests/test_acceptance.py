@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hotilab.cli import CLAIMS, DEFAULT_SIZES, DEFAULT_SOLVER, Scans, evaluate
+from hotilab.cli import CLAIMS, DEFAULT_SIZES, DEFAULT_SOLVER, Scans, _symmetry_report, evaluate
 from hotilab.invariants import trim_parities
 from hotilab.ktheory import (
     PRESET_NAMES,
@@ -46,7 +46,7 @@ from hotilab.patterns import (
     translate_limit,
 )
 from hotilab.spectral import folded_near_zero, spectral_norm_bound
-from hotilab.symmetry import builtin_action, check_covariance, symmetrize
+from hotilab.symmetry import SymmetryAction, builtin_action, check_covariance, symmetrize
 
 
 s0 = np.eye(2)
@@ -366,26 +366,31 @@ def _shifted_window(p, v, n, radius):
 # symmetry suite
 
 
+def _solved_action(aname, mname, gamma):
+    """The named action with the unitary solved from a model that has it."""
+    el = builtin_action(aname, builtin_model(mname, gamma))
+    return SymmetryAction(el.u, el.s, el.anti, el.chiral, aname)
+
+
 def test_symmetry_actions_and_idempotent_projection():
     t0 = time.perf_counter()
     ok = True
     for mname, aname in (("ham1", "inversion"), ("ham2", "C2T"), ("ham3", "C4T")):
-        covariant, defect = check_covariance(
-            builtin_model(mname, 0.5), builtin_action(aname), COVARIANCE_TOL
-        )
+        model = builtin_model(mname, 0.5)
+        covariant, defect = check_covariance(model, _solved_action(aname, mname, 0.5), COVARIANCE_TOL)
         ok &= report(f"{mname} is {aname}-covariant at 1e-12", covariant, f"defect {defect:.1e}")
-    a = builtin_action("C4T")
-    u = a.unitary
+    u = builtin_action("C4T", builtin_model("ham3", 0.5)).u
     fourth = np.linalg.matrix_power(u @ u.conj(), 2)  # (gT)^4 as a matrix
     ok &= report(
         "fourfold antiunitary generator has fourth power -1",
         np.max(np.abs(fourth + np.eye(len(u)))) < 1e-9,
     )
-    broken, _ = check_covariance(builtin_model("ham1", 0.5), builtin_action("T"), 1e-9)
-    ok &= report("bare time reversal alone is broken at nonzero coupling", not broken)
+    broken = builtin_action("T", builtin_model("ham1", 0.5)) is None
+    ok &= report("bare time reversal alone is broken at nonzero coupling", broken)
     rng = np.random.default_rng(20260814)
     deltas = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
-    actions = [builtin_action(n) for n in ("inversion", "C2T", "C4T", "T")]
+    actions = [_solved_action(aname, mname, gamma) for aname, mname, gamma in (
+        ("inversion", "ham1", 0.5), ("C2T", "ham2", 0.5), ("C4T", "ham3", 0.5), ("T", "ham2", 0.0))]
     for i in range(N_RANDOM_MODELS):
         m = _random_model(rng, deltas)
         action = actions[i % len(actions)]
@@ -395,6 +400,8 @@ def test_symmetry_actions_and_idempotent_projection():
         p2 = symmetrize(p, action)
         for key, w in p.hoppings.items():
             assert np.max(np.abs(p2.hoppings[key] - w)) < 1e-10
+        rep = _symmetry_report(p, action.name)  # what check-symmetry prints for p
+        assert rep["covariant"] and rep["solutions"] == 1, (action.name, rep)
     elapsed = time.perf_counter() - t0
     ok &= report(
         "group-averaging is an idempotent projection on random models",

@@ -448,12 +448,18 @@ def test_main_validation_failure_exit_two(tmp_path, capsys):
     (["check-symmetry", "{path}", "C4T", "--gamma", "0"], b'{"model": "ham3"}', "--gamma"),
     (["check-symmetry", "ham1", "chiral"], b"", "action"),
     (["check-symmetry", "chiral-quarter-uC", "inversion"], b"", "action"),
+    # the chiral models take no gamma, so --gamma would be dropped
+    (["check-symmetry", "chiral-quarter-uC", "chiral", "--gamma", "7"], b"", "--gamma"),
+    # a model file carries no chirality grading, and the finder tries no
+    # chiral element without one
+    (["check-symmetry", "{path}", "chiral"],
+     b'{"dimension": 2, "norb": 1, "hoppings": [{"delta": [0, 0], "matrix": [[[1, 0]]]}]}', "action"),
 ], ids=[
     "run-directory", "run-not-utf8", "transversal-list", "transversal-no-patterns",
     "transversal-mixed-dimensions", "kss-not-json", "solver-list", "kss-task",
     "slab-direction-beyond-model", "slab-xy-of-2d-model", "cube-of-2d-model",
     "model-unknown-name", "model-no-hoppings", "model-file-and-gamma", "3d-model-2d-action",
-    "2d-model-3d-action",
+    "2d-model-3d-action", "chiral-model-and-gamma", "ungraded-model-chiral-action",
 ])
 def test_malformed_input_exit_two(tmp_path, capsys, argv, content, field):
     path = tmp_path / "input"
@@ -604,6 +610,9 @@ def test_check_symmetry_subcommand(capsys):
     assert main(["check-symmetry", "ham1", "T"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert not rep["covariant"]  # gamma term breaks bare time reversal
+    assert main(["check-symmetry", "ham2", "inversion"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["covariant"] and rep["solutions"] == 1  # ham2's own inversion, s3 (x) s0
     assert main(["check-symmetry", "ham1", "Q8"]) == 2
 
 
@@ -629,6 +638,24 @@ def test_check_symmetry_reads_a_model_file(tmp_path, capsys, doc, argv):
     assert (tmp_path / "out" / f"symmetry-{argv[0]}-{argv[1]}.json").read_text() == builtin
 
 
+def test_check_symmetry_asks_a_two_orbital_model_file(tmp_path, capsys):
+    # only the dimensions must fit: the finder solves the model's own 2x2 unitary
+    path = ROOT / "examples" / "two-orbital.json"
+    assert main(["check-symmetry", str(path), "inversion", "--out", str(tmp_path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["covariant"] and rep["solutions"] == 1 and rep["relations_ok"]
+    assert rep["covariance_defect"] <= 1e-12 and rep["relation_defect"] <= 1e-9
+    assert json.loads((tmp_path / "symmetry-two-orbital-inversion.json").read_text()) == rep
+
+
+def test_check_symmetry_reports_have_one_schema(capsys):
+    keys = {"model", "action", "group_order", "covariant", "solutions", "covariance_defect",
+            "relations_ok", "relation_defect"}
+    for argv in (["ham2", "inversion"], ["ham1", "T"], ["chiral-quarter-uF", "chiral"]):
+        assert main(["check-symmetry", *argv]) == 0
+        assert set(json.loads(capsys.readouterr().out)) == keys, argv
+
+
 def test_check_symmetry_names_an_unnamed_model_custom(tmp_path, capsys):
     # the atomic insulator: onsite s0 x s3 = diag(1, -1, 1, -1), the inversion matrix
     signs = (1.0, -1.0, 1.0, -1.0)
@@ -648,6 +675,8 @@ def test_check_symmetry_names_an_unnamed_model_custom(tmp_path, capsys):
 REPORT_COMMANDS = [
     *(["kss", p] for p in PRESET_NAMES),
     *(["check-symmetry", m, a] for m in ("ham1", "ham2", "ham3")
+      for a in ("inversion", "C2T", "C4T", "T")),
+    *(["check-symmetry", m, a, "--gamma", "0"] for m in ("ham1", "ham2", "ham3")
       for a in ("inversion", "C2T", "C4T", "T")),
     *(["check-symmetry", m, a] for m in ("chiral-quarter-uC", "chiral-quarter-uF")
       for a in ("chiral", "mirror-diagonal")),

@@ -4,21 +4,28 @@ import numpy as np
 import pytest
 
 import hotilab.symmetry as symmetry
+from hotilab.cli import _symmetry_report
 from hotilab.models import (
     Assembly,
     HoppingModel,
     builtin_model,
     bulk_geometry,
+    s0,
+    s1,
+    s2,
+    s3,
     slab_geometry,
     wire_geometry,
 )
 from hotilab.symmetry import (
     BUILTIN_ACTIONS,
     COVARIANCE_TOL,
+    RELATION_TOL,
     SymmetryAction,
     builtin_action,
     check_covariance,
     covariant_elements,
+    generator_order,
     momentum_reversal,
     real_gauge,
     symmetrize,
@@ -49,60 +56,77 @@ def _random_model(rng, dim, norb, deltas):
     return HoppingModel(dim, norb, hops)
 
 
+def _solved_action(aname, mname, gamma=0.5):
+    """The named action with the unitary solved from a model that has it."""
+    el = builtin_action(aname, builtin_model(mname, gamma))
+    return SymmetryAction(el.u, el.s, el.anti, el.chiral, aname)
+
+
 def test_builtin_actions_verify():
-    for name in BUILTIN_ACTIONS:
-        a = builtin_action(name)
-        ok, defect = verify_projective_relations(a)
-        assert ok, f"{name}: defect {defect}"
+    # every generator solved with a one-dimensional solution space verifies
+    for mname, aname, gamma in REPORT_TABLE:
+        el = builtin_action(aname, builtin_model(mname, gamma))
+        if el is not None and el.solutions == 1:
+            ok, defect = verify_projective_relations(_solved_action(aname, mname, gamma))
+            assert ok, f"{mname}/{aname}/{gamma}: defect {defect}"
 
 
 def test_time_reversal_squares_to_minus_one():
-    a = builtin_action("T")
-    assert abs(a.cocycle[("g", "g")] - (-1)) < 1e-9
+    for mname in ("ham1", "ham2"):
+        a = _solved_action("T", mname, 0.0)
+        assert abs(a.cocycle[("g", "g")] - (-1)) < 1e-9, mname
 
 
 def test_c4t_fourth_power_is_minus_one():
     # tau(g^j, g^k) = -1 exactly when the powers wrap past the identity
-    a = builtin_action("C4T")
     labels = {0: "e", 1: "g", 2: "g^2", 3: "g^3"}
-    for j in range(4):
-        for k in range(4):
-            tau = a.cocycle[(labels[j], labels[k])]
-            want = -1.0 if j + k >= 4 else 1.0
-            assert abs(tau - want) < 1e-9, (j, k, tau)
-    assert all(a.elements[j].anti == j % 2 for j in range(4))
+    for mname, gamma in (("ham3", 0.5), ("ham1", 0.0), ("ham2", 0.0)):
+        a = _solved_action("C4T", mname, gamma)
+        for j in range(4):
+            for k in range(4):
+                tau = a.cocycle[(labels[j], labels[k])]
+                want = -1.0 if j + k >= 4 else 1.0
+                assert abs(tau - want) < 1e-9, (mname, j, k, tau)
+        assert all(a.elements[j].anti == j % 2 for j in range(4))
 
 
 def test_unitary_symmetries_have_trivial_cocycle():
-    for name in ("inversion", "chiral", "mirror-diagonal", "C2T"):
-        a = builtin_action(name)
-        assert all(abs(t - 1) < 1e-9 for t in a.cocycle.values()), name
+    # the phase rule (first entry of largest magnitude real positive) gives U^2 = 1
+    for aname, mname in (("inversion", "ham1"), ("inversion", "ham2"), ("C2T", "ham2"),
+                         ("chiral", "chiral-quarter-uC"), ("mirror-diagonal", "chiral-quarter-uC")):
+        a = _solved_action(aname, mname)
+        assert all(abs(t - 1) < 1e-9 for t in a.cocycle.values()), (aname, mname)
 
 
 @pytest.mark.parametrize("mname,aname", DECLARED_PAIRS)
 def test_declared_covariance(mname, aname):
-    ok, defect = check_covariance(builtin_model(mname), builtin_action(aname), TOL)
-    assert ok, f"{mname}/{aname}: defect {defect}"
+    el = builtin_action(aname, builtin_model(mname))
+    assert el is not None, f"{mname} has no {aname}"
+    if el.solutions == 1:
+        ok, defect = check_covariance(builtin_model(mname), _solved_action(aname, mname), TOL)
+        assert ok, f"{mname}/{aname}: defect {defect}"
 
 
 def test_perturbation_selects_symmetry():
     # the gamma term of ham2 kills C4.T but keeps C2.T, and vice versa for ham3
-    c4t, c2t = builtin_action("C4T"), builtin_action("C2T")
-    assert not check_covariance(builtin_model("ham2", 0.5), c4t, TOL)[0]
-    assert check_covariance(builtin_model("ham2", 0.0), c4t, TOL)[0]
-    assert check_covariance(builtin_model("ham3", 0.5), c4t, TOL)[0]
-    assert not check_covariance(builtin_model("ham1", 0.5), builtin_action("T"), TOL)[0]
+    def has(aname, mname, gamma):
+        return builtin_action(aname, builtin_model(mname, gamma)) is not None
+
+    assert not has("C4T", "ham2", 0.5) and has("C2T", "ham2", 0.5)
+    assert has("C4T", "ham2", 0.0)
+    assert has("C4T", "ham3", 0.5) and not has("C2T", "ham3", 0.5)
+    assert not has("T", "ham1", 0.5)
 
 
 def test_symmetrize_projects_and_is_idempotent():
     rng = np.random.default_rng(3)
     deltas = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]
-    for name in ("inversion", "C2T", "C4T", "T"):
-        a = builtin_action(name)
+    for a in (_solved_action("inversion", "ham1"), _solved_action("C2T", "ham2"),
+              _solved_action("C4T", "ham3"), _solved_action("T", "ham2", 0.0)):
         m = _random_model(rng, 3, 4, deltas)
         p = symmetrize(m, a)
         ok, defect = check_covariance(p, a, 1e-10)
-        assert ok, f"{name}: {defect}"
+        assert ok, f"{a.name}: {defect}"
         p2 = symmetrize(p, a)
         for key, w in p.hoppings.items():
             assert np.max(np.abs(p2.hoppings[key] - w)) < 1e-10
@@ -110,29 +134,33 @@ def test_symmetrize_projects_and_is_idempotent():
 
 def test_symmetrize_fixes_covariant_model():
     m = builtin_model("ham3")
-    p = symmetrize(m, builtin_action("C4T"))
+    p = symmetrize(m, _solved_action("C4T", "ham3"))
     for key, w in m.hoppings.items():
         assert np.max(np.abs(p.hoppings[key] - w)) < 1e-10
 
 
 def test_symmetrize_group_order_cap():
+    # a shear has no finite order, so no n up to the cap has S^n = 1
     with pytest.raises(ValueError, match="cap"):
-        SymmetryAction(1025, np.eye(1, dtype=complex), ((1,),))
+        SymmetryAction(np.eye(1, dtype=complex), ((1, 1), (0, 1)))
 
 
 def test_non_projective_matrices_rejected():
     # a doctored generator whose square is no scalar: g^2 is not proportional to e
-    a = builtin_action("inversion")
+    a = _solved_action("inversion", "ham1")
     bad = np.diag([1.0, 1.0, 1.0, 1.0 + 1e-3]).astype(complex)
     with pytest.raises(ValueError, match="proportional"):
-        SymmetryAction(a.order, bad, a.matrix)
+        SymmetryAction(bad, a.matrix)
 
 
 def test_point_group_validation():
     # S = diag(2, 1) is no lattice automorphism (|det| = 2): no power is 1
     with pytest.raises(ValueError):
-        SymmetryAction(2, np.eye(1, dtype=complex), ((2, 0), (0, 1)))
-    SymmetryAction(4, np.eye(1, dtype=complex), ((0, -1), (1, 0)))  # fourfold rotation is fine
+        SymmetryAction(np.eye(1, dtype=complex), ((2, 0), (0, 1)))
+    # the order is derived from S, anti and chiral
+    assert SymmetryAction(np.eye(1, dtype=complex), ((0, -1), (1, 0))).order == 4
+    assert [generator_order(*symmetry._ACTION_TABLE[name]) for name in BUILTIN_ACTIONS] == [
+        2, 2, 4, 2, 2, 2]
 
 
 def test_covariance_detects_broken_model():
@@ -143,7 +171,7 @@ def test_covariance_detects_broken_model():
     hops[(1, 0, 0)] = hops[(1, 0, 0)] + bump
     hops[(-1, 0, 0)] = hops[(-1, 0, 0)] + bump.conj().T
     broken = HoppingModel(3, 4, hops)
-    ok, defect = check_covariance(broken, builtin_action("inversion"), TOL)
+    ok, defect = check_covariance(broken, _solved_action("inversion", "ham1"), TOL)
     assert not ok and defect > 1e-7
 
 
@@ -289,22 +317,34 @@ def test_covariant_elements_builds_no_action(monkeypatch):
 
 
 def test_builtin_action_is_a_new_object_every_call():
-    a, b = builtin_action("inversion"), builtin_action("inversion")
-    assert a is not b and a.unitary is not b.unitary
-    a.unitary[:] = 0
-    assert np.array_equal(builtin_action("inversion").unitary, b.unitary)
+    model = builtin_model("ham1")
+    a, b = builtin_action("inversion", model), builtin_action("inversion", model)
+    assert a is not b and a.u is not b.u
+    a.u[:] = 0
+    assert np.array_equal(builtin_action("inversion", model).u, b.u)
+
+
+def test_chiral_action_needs_a_chirality_grading():
+    # without a grading the finder tries no chiral element, so None would be a wrong verdict
+    graded = builtin_model("chiral-quarter-uC")
+    ungraded = HoppingModel(2, 4, dict(graded.hoppings))
+    assert builtin_action("chiral", graded) is not None
+    with pytest.raises(ValueError, match="grading"):
+        builtin_action("chiral", ungraded)
+    assert builtin_action("mirror-diagonal", ungraded) is not None
 
 
 def test_ham2_bulk_has_its_inversion():
-    # ham2's inversion acts on its orbitals as s3 (x) s0, not as the
-    # inversion row's s0 (x) s3 (fixed in ham1's basis)
+    # ham2's inversion acts on its orbitals as s3 (x) s0, not as ham1's
+    # s0 (x) s3; the finder solves it, and the phase rule makes it +s3 (x) s0
     model = builtin_model("ham2")
-    assert not check_covariance(model, builtin_action("inversion"))[0]
+    assert not check_covariance(model, SymmetryAction(WITNESS["inversion"], S_INVERSION))[0]
     inv = [el for el in covariant_elements(model, bulk_geometry(3))
            if not el.antiunitary and not el.chiral and np.array_equal(el.k_map, -np.eye(3))]
     assert len(inv) == 1
     u, target = inv[0].unitary, np.kron(np.diag([1, -1]), np.eye(2))
     assert abs(abs(np.trace(target @ u)) - 4) <= 1e-12  # u is a phase times target
+    assert np.max(np.abs(builtin_action("inversion", model).u - target)) <= 1e-12
 
 
 @pytest.mark.parametrize("mname, gamma", [
@@ -313,7 +353,10 @@ def test_ham2_bulk_has_its_inversion():
 def test_solved_unitaries_are_unitary_and_covariant(mname, gamma):
     model = builtin_model(mname, gamma)
     n, zero = model.norb, np.zeros((model.norb, model.norb))
-    for el in covariant_elements(model, bulk_geometry(model.dimension)):
+    solved = symmetry._solved_elements(model)
+    found = list(covariant_elements(model, bulk_geometry(model.dimension)))
+    assert [el.label for el in found] == [el.label for el in solved]  # a bulk keeps them all
+    for el, record in zip(found, solved):
         u, anti, sign = el.unitary, el.antiunitary, -1 if el.chiral else 1
         s = -el.k_map if anti else el.k_map  # a bulk's k-map is (-1)^anti S
         assert np.max(np.abs(u @ u.conj().T - np.eye(n))) <= 1e-12
@@ -325,63 +368,102 @@ def test_solved_unitaries_are_unitary_and_covariant(mname, gamma):
             system.append(np.kron(np.eye(n), m.T) - np.kron(t, np.eye(n)))
         sv = np.linalg.svd(np.vstack(system), compute_uv=False)
         # the null space of U m - t U = 0 in U: three-dimensional on uF
-        assert np.sum(sv <= 1e-9 * sv[0]) == (3 if mname == "chiral-quarter-uF" else 1)
+        null = np.sum(sv <= 1e-9 * sv[0])
+        assert null == (3 if mname == "chiral-quarter-uF" else 1)
+        assert record.solutions == null
 
 
-# check_covariance's (verdict, defect) for every built-in model and action
-# of its shape, at gamma 0.5 and 0 (the chiral models take no gamma)
-COVARIANCE_TABLE = {
-    ("ham1", "inversion", 0.5): (True, 0.0),
-    ("ham1", "inversion", 0.0): (True, 0.0),
-    ("ham1", "C2T", 0.5): (False, 4.5),
-    ("ham1", "C2T", 0.0): (False, 4.0),
-    ("ham1", "C4T", 0.5): (False, 4.5),
-    ("ham1", "C4T", 0.0): (False, 4.0),
-    ("ham1", "T", 0.5): (False, 4.5),
-    ("ham1", "T", 0.0): (False, 4.0),
-    ("ham2", "inversion", 0.5): (False, 1.4142135623730951),
-    ("ham2", "inversion", 0.0): (False, 1.0),
-    ("ham2", "C2T", 0.5): (True, 0.0),
-    ("ham2", "C2T", 0.0): (True, 0.0),
-    ("ham2", "C4T", 0.5): (False, 1.414213562373095),
-    ("ham2", "C4T", 0.0): (True, 2.220446049250313e-16),
-    ("ham2", "T", 0.5): (False, 1.4142135623730951),
-    ("ham2", "T", 0.0): (True, 0.0),
-    ("ham3", "inversion", 0.5): (False, 1.0),
-    ("ham3", "inversion", 0.0): (False, 1.0),
-    ("ham3", "C2T", 0.5): (False, 0.5),
-    ("ham3", "C2T", 0.0): (True, 0.0),
-    ("ham3", "C4T", 0.5): (True, 2.220446049250313e-16),
-    ("ham3", "C4T", 0.0): (True, 2.220446049250313e-16),
-    ("ham3", "T", 0.5): (False, 0.5),
-    ("ham3", "T", 0.0): (True, 0.0),
-    ("chiral-quarter-uC", "chiral", 0.5): (True, 0.0),
-    ("chiral-quarter-uC", "mirror-diagonal", 0.5): (True, 0.0),
-    ("chiral-quarter-uF", "chiral", 0.5): (True, 0.0),
-    ("chiral-quarter-uF", "mirror-diagonal", 0.5): (True, 0.0),
+# the six unitaries the named actions carried before each became a question
+# to the finder, all in ham1's orbital basis: a witness where covariant
+S_INVERSION = ((-1, 0, 0), (0, -1, 0), (0, 0, -1))
+WITNESS = {
+    "inversion": np.kron(s0, s3),
+    "C2T": np.kron(s0, s1),
+    "C4T": np.kron(s0, s2 * np.exp([1j * np.pi / 4, -1j * np.pi / 4])),
+    "T": np.kron(s0, s2),
+    "chiral": np.kron(s3, s0),
+    "mirror-diagonal": np.kron(s0, s3),
+}
+
+# check-symmetry's (covariant, solutions, group_order) for every built-in
+# model and action of its shape, at gamma 0.5 and 0 (the chiral models take
+# no gamma).  Against the fixed witnesses, six rows flip to covariant: the
+# finder solves each model's own unitary
+REPORT_TABLE = {
+    ("ham1", "inversion", 0.5): (True, 1, 2),
+    ("ham1", "inversion", 0.0): (True, 1, 2),
+    ("ham1", "C2T", 0.5): (False, 0, 2),
+    ("ham1", "C2T", 0.0): (True, 1, 2),
+    ("ham1", "C4T", 0.5): (False, 0, 4),
+    ("ham1", "C4T", 0.0): (True, 1, 4),
+    ("ham1", "T", 0.5): (False, 0, 2),
+    ("ham1", "T", 0.0): (True, 1, 2),
+    ("ham2", "inversion", 0.5): (True, 1, 2),
+    ("ham2", "inversion", 0.0): (True, 1, 2),
+    ("ham2", "C2T", 0.5): (True, 1, 2),
+    ("ham2", "C2T", 0.0): (True, 1, 2),
+    ("ham2", "C4T", 0.5): (False, 0, 4),
+    ("ham2", "C4T", 0.0): (True, 1, 4),
+    ("ham2", "T", 0.5): (False, 0, 2),
+    ("ham2", "T", 0.0): (True, 1, 2),
+    ("ham3", "inversion", 0.5): (False, 0, 2),
+    ("ham3", "inversion", 0.0): (True, 1, 2),
+    ("ham3", "C2T", 0.5): (False, 0, 2),
+    ("ham3", "C2T", 0.0): (True, 1, 2),
+    ("ham3", "C4T", 0.5): (True, 1, 4),
+    ("ham3", "C4T", 0.0): (True, 1, 4),
+    ("ham3", "T", 0.5): (False, 0, 2),
+    ("ham3", "T", 0.0): (True, 1, 2),
+    ("chiral-quarter-uC", "chiral", 0.5): (True, 1, 2),
+    ("chiral-quarter-uC", "mirror-diagonal", 0.5): (True, 1, 2),
+    ("chiral-quarter-uF", "chiral", 0.5): (True, 3, 2),
+    ("chiral-quarter-uF", "mirror-diagonal", 0.5): (True, 3, 2),
+}
+FLIPPED = {
+    ("ham1", "C2T", 0.0), ("ham1", "C4T", 0.0), ("ham1", "T", 0.0),
+    ("ham2", "inversion", 0.5), ("ham2", "inversion", 0.0), ("ham3", "inversion", 0.0),
 }
 
 
-@pytest.mark.parametrize("mname, aname, gamma", list(COVARIANCE_TABLE))
+def _report(mname, aname, gamma):
+    return _symmetry_report(builtin_model(mname, gamma), aname)
+
+
+def _witness_covariant(mname, aname, gamma):
+    s, anti, chiral = symmetry._ACTION_TABLE[aname]
+    action = SymmetryAction(WITNESS[aname], s, anti, chiral)
+    return bool(check_covariance(builtin_model(mname, gamma), action)[0])
+
+
+@pytest.mark.parametrize("mname, aname, gamma", list(REPORT_TABLE))
 def test_check_covariance_verdicts_and_defects(mname, aname, gamma):
-    ok, defect = check_covariance(builtin_model(mname, gamma), builtin_action(aname))
-    assert (bool(ok), defect) == COVARIANCE_TABLE[(mname, aname, gamma)]
+    rep = _report(mname, aname, gamma)
+    assert (rep["covariant"], rep["solutions"], rep["group_order"]) == REPORT_TABLE[
+        (mname, aname, gamma)]
+    if rep["solutions"] == 1:
+        assert 0 <= rep["covariance_defect"] <= COVARIANCE_TOL
+    else:  # no unitary, or a space of them: no one defect to report
+        assert rep["covariance_defect"] is None
+    if _witness_covariant(mname, aname, gamma):
+        assert rep["covariant"]
 
 
-# verify_projective_relations' (verdict, defect) and the group order of every
-# built-in action
-RELATIONS_TABLE = {
-    "inversion": (True, 0.0, 2),
-    "C2T": (True, 0.0, 2),
-    "C4T": (True, 8.881784197001252e-16, 4),
-    "T": (True, 0.0, 2),
-    "chiral": (True, 0.0, 2),
-    "mirror-diagonal": (True, 0.0, 2),
-}
+def test_report_flips_only_where_the_finder_solves_the_model_unitary():
+    flipped = {key for key in REPORT_TABLE
+               if REPORT_TABLE[key][0] and not _witness_covariant(*key)}
+    assert flipped == FLIPPED
+    assert all(not _witness_covariant(*key) for key in REPORT_TABLE if not REPORT_TABLE[key][0])
 
 
-@pytest.mark.parametrize("aname", list(RELATIONS_TABLE))
+@pytest.mark.parametrize("aname", BUILTIN_ACTIONS)
 def test_relation_verdicts_and_defects(aname):
-    a = builtin_action(aname)
-    ok, defect = verify_projective_relations(a)
-    assert (bool(ok), defect, a.order) == RELATIONS_TABLE[aname]
+    # the relations of every row with one solved unitary hold within
+    # RELATION_TOL; a row with none, or with a space of them, has no relations
+    for mname, name, gamma in REPORT_TABLE:
+        if name != aname:
+            continue
+        rep = _report(mname, aname, gamma)
+        if rep["solutions"] == 1:
+            assert rep["relations_ok"] and 0 <= rep["relation_defect"] <= RELATION_TOL
+        else:
+            assert rep["relations_ok"] is None and rep["relation_defect"] is None
