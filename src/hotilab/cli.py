@@ -157,9 +157,13 @@ def _normalize_model(spec, path) -> dict:
     name = spec.get("name")
     if name not in BUILTIN_MODELS:
         _fail(f"{path}.name", f"unknown model {name!r}; have {', '.join(BUILTIN_MODELS)}")
+    if "gamma" in spec and name not in MODEL_CLASS:
+        _fail(f"{path}.gamma", f"{name} takes no gamma; {', '.join(MODEL_CLASS)} do")
     gammas = spec.get("gamma", 0.5)
     if not isinstance(gammas, list):
         gammas = [gammas]
+    if not gammas:
+        _fail(f"{path}.gamma", "expected a number or a non-empty list")
     out = []
     for i, g in enumerate(gammas):
         if not isinstance(g, (int, float)) or isinstance(g, bool) or not math.isfinite(g):
@@ -222,6 +226,8 @@ def validate_config(doc) -> dict:
     geos = doc.get("geometry", {"kind": "bulk"})
     if not isinstance(geos, list):
         geos = [geos]
+    if not geos:
+        _fail("geometry", "expected an object or a non-empty list")
     cfg["geometry"] = [
         _normalize_geometry(g, f"geometry[{i}]", dimension) for i, g in enumerate(geos)
     ]

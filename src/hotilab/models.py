@@ -413,7 +413,10 @@ def builtin_model(name: str, gamma: float = 0.5) -> HoppingModel:
 
 def model_from_dict(d: dict) -> HoppingModel:
     if "model" in d:  # builtin reference: {"model": "ham1", "gamma": 0.5}
-        return builtin_model(d["model"], float(d.get("gamma", 0.5)))
+        model = builtin_model(d["model"], float(d.get("gamma", 0.5)))
+        if "gamma" in d and model.chirality is not None:
+            raise ValueError(f"{model.name} takes no gamma")
+        return model
     hops = {}
     for h in d["hoppings"]:
         w = np.array(

@@ -1,22 +1,22 @@
 """Eigensolvers and band-structure helpers with deterministic output.
 
-Two routes to spectra: dense diagonalization (small matrices, canonically
-phase-fixed) and a sparse solver for the eigenvalues of H nearest zero:
-shift-invert ARPACK on H itself about a small negative shift, from one LU
-of H - sigma (symmetric minimum-degree ordering, pivot threshold 0.01)
-that is freed before a Ritz step on the orthonormalized result, with a
-seeded start vector.  ``near_zero_states`` alone chooses between them,
-on the matrix size: dense up to ``DENSE_CUTOFF`` (a module constant, not
-an option of any caller or config), sparse above it; both share one
-window pick and one residual check.  Every near-zero solve of a hopping
-model runs in one momentum-scan loop, which builds the assembly
-once and evaluates it per momentum, solves real matrices in the gauge of
-``symmetry.real_gauge`` when it finds one, and attaches per-region spatial
-weights (regions are masks on the geometry's site array), disentangling
-degenerate clusters so weights are stable under basis ambiguity.  Gap
-scans (slabs, edges, the bulk) run one dense ``eigvalsh`` loop,
-``dense_spectra``, over a Bloch callable at one momentum per orbit of the
-solved k-maps of ``symmetry.covariant_elements``, each spot-checked once.
+Two routes to spectra: dense diagonalization (canonically phase-fixed) and
+a sparse solver for the eigenvalues of H nearest zero: shift-invert ARPACK
+on H itself about a small negative shift, from one LU of H - sigma
+(symmetric minimum-degree ordering, pivot threshold 0.01) that is freed
+before a Ritz step on the orthonormalized result, with a seeded start
+vector.  ``near_zero_states`` alone chooses between them, from the request:
+a window below n - 1 states runs the sparse solver at any size, the whole
+spectrum the dense one; both share one window pick and one residual check.
+Every near-zero solve of a hopping model runs in one momentum-scan loop,
+which builds the assembly once and evaluates it per momentum, solves real
+matrices in the gauge of ``symmetry.real_gauge`` when it finds one, and
+attaches per-region spatial weights (regions are masks on the geometry's
+site array), disentangling degenerate clusters so weights are stable under
+basis ambiguity.  Gap scans (slabs, edges, the bulk) run one dense
+``eigvalsh`` loop, ``dense_spectra``, over a Bloch callable at one momentum
+per orbit of the solved k-maps of ``symmetry.covariant_elements``, each
+spot-checked once.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from .models import Assembly, Geometry, HoppingModel, bulk_geometry, slab_geomet
 from .symmetry import covariant_elements, momentum_reversal, real_gauge
 
 __all__ = [
-    "DENSE_CUTOFF",
     "DENSE_DIM_CAP",
     "dense_eigh",
     "folded_near_zero",
@@ -50,7 +49,6 @@ __all__ = [
     "write_band_csv",
 ]
 
-DENSE_CUTOFF = 2048     # largest dimension near_zero_states diagonalizes densely
 DENSE_DIM_CAP = 16384
 RESIDUAL_FACTOR = 1e-8  # residual tolerance relative to a norm bound of H
 CLUSTER_TOL = 1e-7      # eigenvalue spacing treated as degenerate
@@ -80,7 +78,8 @@ def dense_eigh(h) -> tuple[np.ndarray, np.ndarray]:
     """Full spectrum, ascending, with canonical eigenvector phases."""
     if h.shape[0] > DENSE_DIM_CAP:
         raise ValueError(
-            f"dense path capped at {DENSE_DIM_CAP}; use folded_near_zero"
+            f"dense path capped at {DENSE_DIM_CAP} rows, got {h.shape[0]}: the request asks for "
+            "the whole spectrum; a window below n - 1 states takes the shift-invert route"
         )
     h = h.toarray() if sp.issparse(h) else np.asarray(h)
     vals, vecs = np.linalg.eigh(h)
@@ -151,15 +150,12 @@ def folded_near_zero(h, nev: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray
 
 
 def near_zero_states(h, nev: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The one dense/sparse router, on the matrix size alone: dense up to
-    ``DENSE_CUTOFF`` (or when nearly the whole spectrum is asked for),
-    above it the shift-invert solver ``folded_near_zero`` (named for the
-    folded H^2 route it replaced); both return the ``nev`` pairs nearest
-    zero, sorted by energy, and raise unless each pair's residual is within
-    ``RESIDUAL_FACTOR`` of a norm bound of H.  The cutoff is read at call
-    time, so a test can lower it to force the sparse route on a small matrix."""
-    n = h.shape[0]
-    if n > DENSE_CUTOFF and nev < n - 1:
+    """The one dense/sparse router, on the request alone: a window of
+    ``nev < n - 1`` states runs ``folded_near_zero`` (the shift-invert
+    solver) at any size; a whole-spectrum request diagonalizes densely.
+    Both return the ``nev`` pairs nearest zero, sorted by energy, and raise
+    unless each residual is within ``RESIDUAL_FACTOR`` of a norm bound of H."""
+    if nev < h.shape[0] - 1:
         return folded_near_zero(h, nev, seed=seed)
     vals, vecs = _window(*dense_eigh(h), nev)
     _check_residual(h, vals, vecs, RESIDUAL_FACTOR * spectral_norm_bound(h), "dense solver")
@@ -288,7 +284,8 @@ def _momentum_scan(
     spectrum and cube scans) runs here.  A geometry with no periodic
     direction is scanned at its one empty momentum, ``np.zeros((1, 0))``.
 
-    Solves the ``nev`` states nearest zero (all when None) on one assembly,
+    Solves the ``nev`` states nearest zero on one assembly (the whole
+    spectrum, densely, when None; a window by shift-invert at any size),
     of the real part of D^dag H(k) D (D = 1 (x) V on every site) where
     ``real_gauge`` finds V: it must be real within 1e-12 * bound(H), and the
     vectors D carries back must pass the residual check against H(k), or the
@@ -351,7 +348,8 @@ def band_structure(
     seed: int = 0,
 ) -> BandData:
     """Spectrum along a momentum list; ``window`` keeps only that many
-    states nearest zero energy (sparse solver route for large systems).
+    states nearest zero energy (the shift-invert route at any size; the
+    whole spectrum, solved densely, when None).
 
     On a grid symmetric about k = 0, a model with a k-reversing symmetry
     element is solved at ceil(n/2) momenta and the rest are mapped (see

@@ -73,7 +73,7 @@ def test_bad_solver_option_and_geometry_kind():
     with pytest.raises(ConfigError) as err:
         validate_config(tiny_config(geometry=[{"kind": "sphere"}]))
     assert err.value.errors[0][0] == "geometry[0].kind"
-    with pytest.raises(ConfigError) as err:  # the router's cutoff is no option
+    with pytest.raises(ConfigError) as err:  # the router has no size cutoff to set
         validate_config(tiny_config(solver={"dense_cutoff": 64}))
     assert err.value.errors[0][0] == "solver.dense_cutoff"
 
@@ -84,6 +84,13 @@ def test_scalar_gamma_and_single_geometry_accepted():
     )
     assert cfg["model"]["gamma"] == [0.5]
     assert isinstance(cfg["geometry"], list)
+
+
+def test_a_chiral_model_without_gamma_keeps_its_normal_form():
+    # the normal form, and so the config hash, of a config that gives no gamma
+    cfg = validate_config(tiny_config(model={"name": "chiral-quarter-uC"},
+                                      geometry={"kind": "quarter", "side": 8}))
+    assert cfg["model"] == {"name": "chiral-quarter-uC", "gamma": [0.5]}
 
 
 @pytest.mark.parametrize("gamma, field", [
@@ -107,13 +114,11 @@ def test_non_finite_custom_model_exits_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("overrides, field", [
-    ({"model": {"name": "chiral-quarter-uC", "gamma": [0.5, 0.0]},
-      "geometry": [{"kind": "quarter", "side": 8}]}, "model.gamma[1]"),
     ({"model": {"name": "ham1", "gamma": [0.5, 0.0, 0.5]}}, "model.gamma[2]"),
     ({"geometry": [{"kind": "wire", "side": 6}, {"kind": "bulk"}, {"kind": "wire", "side": 6}]},
      "geometry[2]"),
     ({"tasks": ["bands", "bands"]}, "tasks[1]"),
-], ids=["chiral-gammas", "gamma", "geometry", "task"])
+], ids=["gamma", "geometry", "task"])
 def test_a_repeated_panel_is_rejected_at_its_entry(overrides, field):
     # both entries would write the same files under one label
     with pytest.raises(ConfigError) as err:
@@ -307,7 +312,7 @@ def test_rerun_is_bit_identical(tmp_path):
     assert ha == hb
 
 
-def test_spectrum_task_takes_folded_route_above_dense_cutoff(tmp_path, monkeypatch):
+def test_spectrum_task_window_takes_the_shift_invert_route(tmp_path, monkeypatch):
     dims = []
     folded = spectral.folded_near_zero
 
@@ -316,7 +321,6 @@ def test_spectrum_task_takes_folded_route_above_dense_cutoff(tmp_path, monkeypat
         return folded(h, nev, **kwargs)
 
     monkeypatch.setattr(spectral, "folded_near_zero", spy)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 64)
     cfg = validate_config(tiny_config(tasks=["spectrum"], solver={"nev": 4}))
     summary = run_config(cfg, tmp_path)
     assert dims == [6 * 6 * 4]  # wire side 6, four orbitals
@@ -328,8 +332,9 @@ def test_spectrum_task_takes_folded_route_above_dense_cutoff(tmp_path, monkeypat
     ("chiral-quarter", 8, [8 * 8 * 4, 2 * 8 * 8]),  # corner modes, then the face layer
     ("hinge-modes", 6, [6 * 6 * 6 * 4] * 2),
 ], ids=["run-invariants", "reproduce-corner", "reproduce-cube"])
-def test_near_zero_solves_follow_dense_cutoff(tmp_path, monkeypatch, rid, size, dims):
-    # the corner index, the face layer and the cube modes route on one cutoff
+def test_every_window_solve_takes_the_shift_invert_route(tmp_path, monkeypatch, rid, size, dims):
+    # the corner index, the face layer and the cube modes ask for a window,
+    # so each takes the shift-invert route whatever the matrix size
     seen = []
     folded = spectral.folded_near_zero
 
@@ -338,7 +343,6 @@ def test_near_zero_solves_follow_dense_cutoff(tmp_path, monkeypatch, rid, size, 
         return folded(h, nev, **kwargs)
 
     monkeypatch.setattr(spectral, "folded_near_zero", spy)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 64)
     solver = {"nev": 8}
     if rid is None:
         cfg = validate_config(tiny_config(
@@ -355,10 +359,12 @@ def test_cube_mode_weights_do_not_depend_on_the_solver_basis(tmp_path, monkeypat
     # ham3's exactly degenerate pairs come out of each solve in an arbitrary
     # mixture; the per-mode weights of hinge-modes-ham3.csv must not follow it
     rows = []
-    for seed, cutoff in [(0, 64), (1, 64), (0, 2048)]:  # sparse, sparse, dense (dim 864)
-        out = tmp_path / f"s{seed}-c{cutoff}"
+    for seed, route in [(0, "sparse"), (1, "sparse"), (0, "dense")]:  # dim 864
+        out = tmp_path / f"s{seed}-{route}"
         out.mkdir()
-        monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
+        if route == "dense":  # the reference: the window of a full dense solve
+            monkeypatch.setattr(spectral, "near_zero_states",
+                                lambda h, nev, seed: spectral._window(*spectral.dense_eigh(h), nev))
         scans = Scans({**DEFAULT_SOLVER, "seed": seed}, outdir=out)
         scans.cube("ham3-cube6", builtin_model("ham3", 0.5), cube_geometry(6))
         rows.append(np.loadtxt(out / "hinge-modes-ham3.csv", delimiter=",", skiprows=1))
@@ -367,10 +373,9 @@ def test_cube_mode_weights_do_not_depend_on_the_solver_basis(tmp_path, monkeypat
         assert np.max(np.abs(other[:, 1:] - rows[0][:, 1:])) < 1e-8
 
 
-def test_spectrum_weights_do_not_depend_on_the_solver_seed(tmp_path, monkeypatch):
+def test_spectrum_weights_do_not_depend_on_the_solver_seed(tmp_path):
     # the same degenerate pairs on an open cube, through the spectrum task:
     # its per-state weights must not follow the seeded start vector either
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 64)
     rows = []
     for seed in (0, 1, 2):
         cfg = validate_config(tiny_config(
@@ -443,6 +448,14 @@ def test_main_validation_failure_exit_two(tmp_path, capsys):
      b'"geometry": [{"kind": "slab-yz"}, {"kind": "slab-xy"}]}', "geometry[1].kind"),
     (["run", "{path}"], b'{"model": {"name": "chiral-quarter-uC"}, "tasks": ["spectrum"], '
      b'"geometry": {"kind": "cube"}}', "geometry[0].kind"),
+    # an empty list names no panel
+    (["run", "{path}"], b'{"model": {"name": "ham1", "gamma": []}, "tasks": ["bands"]}', "model.gamma"),
+    (["run", "{path}"], b'{"model": {"name": "ham1"}, "tasks": ["bands"], "geometry": []}', "geometry"),
+    # the chiral models take no gamma, so one given would be dropped
+    (["run", "{path}"], b'{"model": {"name": "chiral-quarter-uC", "gamma": 7}, "tasks": ["spectrum"], '
+     b'"geometry": {"kind": "quarter", "side": 8}}', "model.gamma"),
+    (["run", "{path}"], b'{"model": {"name": "chiral-quarter-uC", "gamma": [0.5, 0.0]}, '
+     b'"tasks": ["spectrum"], "geometry": {"kind": "quarter", "side": 8}}', "model.gamma"),
     (["check-symmetry", "{path}", "C4T"], b'{"model": "ham9"}', "model"),
     (["check-symmetry", "{path}", "C4T"], b'{"dimension": 3}', "model"),
     (["check-symmetry", "{path}", "C4T", "--gamma", "0"], b'{"model": "ham3"}', "--gamma"),
@@ -450,6 +463,7 @@ def test_main_validation_failure_exit_two(tmp_path, capsys):
     (["check-symmetry", "chiral-quarter-uC", "inversion"], b"", "action"),
     # the chiral models take no gamma, so --gamma would be dropped
     (["check-symmetry", "chiral-quarter-uC", "chiral", "--gamma", "7"], b"", "--gamma"),
+    (["check-symmetry", "{path}", "chiral"], b'{"model": "chiral-quarter-uC", "gamma": 7}', "model"),
     # a model file carries no chirality grading, and the finder tries no
     # chiral element without one
     (["check-symmetry", "{path}", "chiral"],
@@ -458,8 +472,10 @@ def test_main_validation_failure_exit_two(tmp_path, capsys):
     "run-directory", "run-not-utf8", "transversal-list", "transversal-no-patterns",
     "transversal-mixed-dimensions", "kss-not-json", "solver-list", "kss-task",
     "slab-direction-beyond-model", "slab-xy-of-2d-model", "cube-of-2d-model",
+    "run-empty-gammas", "run-empty-geometry", "run-chiral-gamma", "run-chiral-gammas",
     "model-unknown-name", "model-no-hoppings", "model-file-and-gamma", "3d-model-2d-action",
-    "2d-model-3d-action", "chiral-model-and-gamma", "ungraded-model-chiral-action",
+    "2d-model-3d-action", "chiral-model-and-gamma", "chiral-model-file-and-gamma",
+    "ungraded-model-chiral-action",
 ])
 def test_malformed_input_exit_two(tmp_path, capsys, argv, content, field):
     path = tmp_path / "input"

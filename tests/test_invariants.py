@@ -130,12 +130,12 @@ def test_corner_index_requires_gapped_edges():
 
 
 def test_face_layer_index_is_minus_two():
-    assert face_layer_index(side=16) == -2  # dimension 512: dense route
-    assert face_layer_index(side=34) == -2  # dimension 2312: shift-invert route
+    # a window of 8 states takes the shift-invert route at either size
+    assert face_layer_index(side=16) == -2  # dimension 512
+    assert face_layer_index(side=34) == -2  # dimension 2312
 
 
-def test_hinge_flow_antipodal_model(monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
+def test_hinge_flow_antipodal_model():
     rep = hinge_spectral_flow(builtin_model("ham1"), side=12, nk=41, window=12)
     assert rep.flows == {"hinge1": 1, "hinge2": 0, "hinge3": -1, "hinge4": 0}
     assert rep.kirchhoff_sum == 0
@@ -144,8 +144,7 @@ def test_hinge_flow_antipodal_model(monkeypatch):
     assert all(c["hinge"] is not None for c in rep.crossings)
 
 
-def test_hinge_flow_fourfold_model_alternates(monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
+def test_hinge_flow_fourfold_model_alternates():
     rep = hinge_spectral_flow(builtin_model("ham3"), side=12, nk=41, window=12)
     assert rep.flows == {"hinge1": 1, "hinge2": -1, "hinge3": 1, "hinge4": -1}
     assert rep.kirchhoff_sum == 0
@@ -153,8 +152,7 @@ def test_hinge_flow_fourfold_model_alternates(monkeypatch):
     assert all(abs(abs(c["k"]) - np.pi) < 2 * np.pi / 41 for c in rep.crossings)
 
 
-def test_hinge_flow_twofold_model(monkeypatch):
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
+def test_hinge_flow_twofold_model():
     rep = hinge_spectral_flow(builtin_model("ham2"), side=14, nk=41, window=12)
     assert rep.flows == {"hinge1": 0, "hinge2": -1, "hinge3": 0, "hinge4": 1}
     assert rep.kirchhoff_sum == 0
@@ -165,7 +163,6 @@ def test_hinge_flow_twofold_model(monkeypatch):
 ])
 def test_hinge_flow_half_scan_matches_full_scan(monkeypatch, mname, side, nk):
     model = builtin_model(mname)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
     kw = dict(side=side, nk=nk, window=12)
     half = hinge_spectral_flow(model, **kw)
     monkeypatch.setattr(spectral, "momentum_reversal", lambda *args: None)
@@ -188,12 +185,10 @@ def test_hinge_flow_half_scan_matches_full_scan(monkeypatch, mname, side, nk):
     assert half.warnings == full.warnings
 
 
-@pytest.mark.parametrize("route", ["dense", "sparse"])
-@pytest.mark.parametrize("mname, side", [("ham2", 12), ("ham3", 12)])
-def test_real_gauge_scan_matches_complex_scan(monkeypatch, mname, side, route):
+@pytest.mark.parametrize("mname, side", [("ham2", 12), ("ham3", 12)],
+                         ids=["ham2-12-sparse", "ham3-12-sparse"])
+def test_real_gauge_scan_matches_complex_scan(monkeypatch, mname, side):
     model = builtin_model(mname)
-    if route == "sparse":
-        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
     kw = dict(side=side, nk=41, window=12)
     real = hinge_spectral_flow(model, **kw)
     monkeypatch.setattr(spectral, "real_gauge", lambda *args: None)
@@ -208,6 +203,21 @@ def test_real_gauge_scan_matches_complex_scan(monkeypatch, mname, side, route):
     bound = spectral_norm_bound(Assembly(model, wire_geometry(3, side)).matrix((0.0,)))
     assert np.max(np.abs(real.energies - full.energies)) <= 1e-12 * bound
     assert real.warnings == full.warnings
+
+
+@pytest.mark.parametrize("mname", ["ham2", "ham3"])
+def test_real_gauge_whole_spectrum_matches_complex_scan(monkeypatch, mname):
+    # a scan with no window asks for the whole spectrum: the dense route
+    model, geo = builtin_model(mname), wire_geometry(3, 4)
+    ks = np.linspace(-np.pi, np.pi, 9)[:, None]
+    monkeypatch.setattr(spectral, "folded_near_zero", None)  # any window solve fails
+    real = spectral.band_structure(model, geo, ks)
+    monkeypatch.setattr(spectral, "real_gauge", lambda *args: None)
+    full = spectral.band_structure(model, geo, ks)
+    assert real.real_gauge == "S=(x,y,-z),anti=1,chiral=0" and full.real_gauge is None
+    assert real.energies.shape == full.energies.shape == (9, 4 * 4 * 4)
+    bound = spectral_norm_bound(Assembly(model, geo).matrix((0.0,)))
+    assert np.max(np.abs(real.energies - full.energies)) <= 1e-12 * bound
 
 
 @pytest.mark.parametrize("scale, match", [(None, "complex"), (2.0, "residual")],

@@ -140,19 +140,21 @@ def test_dense_cap_checked_before_materializing():
     big = sp.eye(20001, dtype=complex, format="csr")
     with pytest.raises(ValueError, match="capped"):
         dense_eigh(big)
+    # only a whole-spectrum request reaches the cap; the error says so
+    with pytest.raises(ValueError, match="whole spectrum; a window below n - 1"):
+        near_zero_states(big, big.shape[0] - 1)
 
 
-def test_near_zero_routing_consistent(monkeypatch):
+def test_near_zero_routing_consistent():
     h = _wire_ham(side=8)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10_000)
-    a = near_zero_states(h, 6)[0]  # dense route
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
-    b = near_zero_states(h, 6)[0]  # folded route
+    a = spectral._window(*dense_eigh(h), 6)[0]  # dense reference
+    b = near_zero_states(h, 6)[0]  # a window: the shift-invert route
     assert np.max(np.abs(a - b)) < RTOL
 
 
 def test_dense_route_checks_its_residuals(monkeypatch):
-    # the dense route shares the sparse route's residual check
+    # the dense route, taken by a whole-spectrum request, shares the
+    # sparse route's residual check
     h = _wire_ham(side=4)
     dense = spectral.dense_eigh
 
@@ -164,14 +166,13 @@ def test_dense_route_checks_its_residuals(monkeypatch):
 
     monkeypatch.setattr(spectral, "dense_eigh", perturbed)
     with pytest.raises(RuntimeError, match="dense solver: residual"):
-        near_zero_states(h, 4)
+        near_zero_states(h, h.shape[0] - 1)
 
 
-def test_folded_rejects_nearly_full_spectrum(monkeypatch):
+def test_folded_rejects_nearly_full_spectrum():
     h = _wire_ham(side=3)  # dimension 36
     with pytest.raises(ValueError, match="near_zero_states"):
         folded_near_zero(h, 35)
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 1)
     vals, _ = near_zero_states(h, 35)  # routed to dense
     assert len(vals) == 35
 
@@ -284,7 +285,6 @@ def test_halved_band_scan_matches_full_scan(monkeypatch, mname, side, nk):
     geo = wire_geometry(3, side)
     part = wire_regions(geo, model.norb)
     ks = np.linspace(-np.pi, np.pi, nk)[:, None]
-    monkeypatch.setattr(spectral, "DENSE_CUTOFF", 256)
     kw = dict(partition=part, window=12)
     half = band_structure(model, geo, ks, **kw)
     monkeypatch.setattr(spectral, "momentum_reversal", lambda *args: None)
