@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-import scipy.optimize
+import scipy.sparse as sp
 
 from .models import HoppingModel, quarter_geometry, wire_geometry
 from .spectral import (
@@ -237,8 +237,6 @@ def face_layer_index(side: int = 24) -> int:
     is -2; on a finite box the compensating kernel modes sit at the far
     corners and are excluded by the box filter.
     """
-    import scipy.sparse as sp
-
     L = side
     x, y = quarter_geometry(L).site_array().T  # site index x * L + y
     n = L * L
@@ -337,6 +335,8 @@ def hinge_spectral_flow(
     hinge_rows = [part.names.index(n) for n in hinge_names]
     flows = {n: 0 for n in hinge_names}
     crossings: list[dict] = []
+    # imported here, not at the top: scipy.optimize is ~90 modules and only this matching needs it
+    from scipy.optimize import linear_sum_assignment
     # Close the loop: the wrap segment (last midpoint -> first midpoint + 2pi)
     # makes the count a true winding over the Brillouin circle.
     for i in range(nk):
@@ -347,7 +347,7 @@ def hinge_spectral_flow(
         if len(sel_a) == 0 or len(sel_b) == 0:
             continue
         ov = np.abs(vecs[i][:, sel_a].conj().T @ vecs[j][:, sel_b])
-        ri, ci = scipy.optimize.linear_sum_assignment(-ov)
+        ri, ci = linear_sum_assignment(-ov)
         for r, c in zip(ri, ci):
             a, b = sel_a[r], sel_b[c]
             ea, eb = energies[i, a], energies[j, b]

@@ -30,6 +30,7 @@ alpha is implicitly the identity (the filtration has stabilized).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 import numpy as np
 
@@ -509,8 +510,6 @@ def _plain_cofiltration(axes: tuple[int, ...], terminated: tuple[int, ...], name
     pinned axis from I with the side sign times the usual reordering
     sign, so consecutive maps telescope to zero.
     """
-    from itertools import combinations, product
-
     d = len(terminated)
     cells = {p: [] for p in range(d + 1)}
     for p in range(d + 1):

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+import hotilab.invariants as invariants
 import hotilab.spectral as spectral
 from hotilab.invariants import (
+    MIN_OVERLAP,
+    WEIGHT_THRESHOLD,
+    ZONE_EDGE_TOL,
     CornerReport,
     _round_integer,
     bulk_corner_parity,
@@ -269,6 +273,69 @@ def test_hinge_flow_warns_when_no_band_crosses_zero():
     assert rep.flows == {"hinge1": 0, "hinge2": 0, "hinge3": 0, "hinge4": 0}
     assert rep.crossings == []
     assert any("every hinge flow is 0" in w for w in rep.warnings)
+
+
+def hand_built_flow(monkeypatch, energies, overlap=1.0, hinge_weight=1.0):
+    """Hinge flow of a side-4 ham1 wire whose scan is replaced by hand-built
+    windows, so no solve runs.  One band takes ``energies`` on the nk-point
+    midpoint grid; a second sits at 0.9, outside ENERGY_WINDOW, so no window
+    saturates.  At the second momentum the band's vector is turned so that
+    its overlap with the others is ``overlap``; it puts ``hinge_weight`` on
+    hinge1 and the rest on the interior."""
+    model = builtin_model("ham1")
+    part = spectral.wire_regions(wire_geometry(3, 4), model.norb)
+    nk = len(energies)
+    e = np.column_stack([energies, np.full(nk, 0.9)])
+    weights = np.zeros((nk, 2, len(part.names)))
+    weights[:, :, part.names.index("hinge1")] = hinge_weight
+    weights[:, :, part.names.index("interior")] = 1.0 - hinge_weight
+    turned = np.array([[overlap, 0.0], [np.sqrt(1.0 - overlap**2), 0.0], [0.0, 1.0]])
+    vecs = [turned if i == 1 else np.eye(3)[:, :2] for i in range(nk)]
+    data = spectral.BandData(np.zeros((nk, 1)), e, weights, part.names, None, None, nk)
+    monkeypatch.setattr(invariants, "_momentum_scan", lambda *args, **kwargs: (data, vecs))
+    return hinge_spectral_flow(model, side=4, nk=nk, window=2)
+
+
+def test_hinge_flow_ignores_a_straddle_below_min_overlap(monkeypatch):
+    rep = hand_built_flow(monkeypatch, [-0.1, 0.1, 0.5], overlap=0.9 * MIN_OVERLAP)
+    assert rep.crossings == [] and rep.kirchhoff_sum == 0
+    assert rep.warnings == [
+        f"ignored straddle near k={-2 * np.pi / 3:.3f} with overlap below {MIN_OVERLAP} "
+        "(window likely saturated)",
+        "no band crosses E = 0 inside |E|<0.3, so every hinge flow is 0; raise side or nk",
+    ]
+
+
+def test_hinge_flow_records_an_unattributable_crossing(monkeypatch):
+    rep = hand_built_flow(monkeypatch, [-0.1, 0.1, 0.5], hinge_weight=WEIGHT_THRESHOLD)
+    assert rep.flows == {"hinge1": 0, "hinge2": 0, "hinge3": 0, "hinge4": 0}
+    [crossing] = rep.crossings
+    assert crossing["hinge"] is None and crossing["slope"] == 1
+    assert crossing["k"] == pytest.approx(-np.pi / 3)
+    assert crossing["weights"]["hinge1"] == WEIGHT_THRESHOLD
+    assert rep.warnings == [
+        f"crossing at k={-np.pi / 3:.3f} not attributable to a single hinge "
+        f"(best weight {WEIGHT_THRESHOLD:.2f})"
+    ]
+
+
+def test_a_lone_attributed_crossing_breaks_kirchhoff(monkeypatch):
+    rep = hand_built_flow(monkeypatch, [-0.1, 0.1, 0.5])
+    assert rep.flows == {"hinge1": 1, "hinge2": 0, "hinge3": 0, "hinge4": 0}
+    assert [c["hinge"] for c in rep.crossings] == ["hinge1"]
+    assert rep.kirchhoff_sum == 1
+    assert rep.warnings == ["hinge flows sum to 1, not zero"]
+
+
+@pytest.mark.parametrize("skew, at_edge", [(1e-10, True), (-1e-10, True), (1e-7, False)])
+def test_a_crossing_near_the_zone_edge_reads_minus_pi(monkeypatch, skew, at_edge):
+    # the wrap segment runs from k = 2pi/3 to 4pi/3; a skew of the energies
+    # moves its interpolated crossing by about pi * skew / 6 off pi
+    rep = hand_built_flow(monkeypatch, [0.1 * (1 + skew), 0.5, -0.1])
+    [crossing] = rep.crossings
+    assert crossing["slope"] == 1 and crossing["hinge"] == "hinge1"
+    assert (crossing["k"] == -np.pi) is at_edge
+    assert np.pi - abs(crossing["k"]) <= (ZONE_EDGE_TOL if at_edge else 1e-6)
 
 
 def test_trim_parities_ham1():
