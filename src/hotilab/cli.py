@@ -327,7 +327,7 @@ def _near_zero_modes(model, geometry, solver):
     multiplet."""
     part, k0 = _hinge_regions(model, geometry), np.zeros((1, len(geometry.periodic_dirs)))
     data, (vecs,) = _momentum_scan(model, geometry, k0, solver["nev"], part, solver["seed"],
-                                   keep_vectors=True)
+                                   keep_below=np.inf)
     weights = {} if part is None else dict(zip(part.names, data.weights[0].T))
     return data.energies[0], vecs, weights
 

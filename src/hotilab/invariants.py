@@ -196,7 +196,7 @@ def corner_index(
         )
     geo = quarter_geometry(side)
     part = corner_regions(geo, model.norb)
-    data, (vecs,) = _momentum_scan(model, geo, np.zeros((1, 0)), nev, part, seed, keep_vectors=True)
+    data, (vecs,) = _momentum_scan(model, geo, np.zeros((1, 0)), nev, part, seed, keep_below=np.inf)
     vals, weights = data.energies[0], data.weights[0].T
     # a norm bound of H: the largest row sum of |w| over all hoppings, which
     # every interior site of the quarter attains
@@ -297,17 +297,17 @@ def hinge_spectral_flow(
     """Signed zero crossings of wire bands, attributed to hinge regions.
 
     Between adjacent momenta, states inside |E| < ENERGY_WINDOW are paired
-    by maximum overlap; a matched pair straddling E = 0 contributes its
-    slope sign to the hinge carrying most of its weight there.  Matching
-    only locally (never chaining across the whole loop) keeps the count
-    immune to states drifting in and out of the solver window far from
-    zero.  The Kirchhoff sum of all flows is reported, not assumed.
-    Crossing momenta lie in [-pi, pi); one within ``ZONE_EDGE_TOL`` of
-    the zone edge is reported as exactly -pi, whatever the last bits of
-    its interpolation.
+    by maximum overlap (``csgraph.min_weight_full_bipartite_matching``); a
+    matched pair straddling E = 0 contributes its slope sign to the hinge
+    carrying most of its weight there.  Matching only locally (never
+    chaining across the whole loop) keeps the count immune to states
+    drifting in and out of the solver window far from zero.  The Kirchhoff
+    sum of all flows is reported, not assumed.  Crossing momenta lie in
+    [-pi, pi); one within ``ZONE_EDGE_TOL`` of the zone edge is reported as
+    exactly -pi, whatever the last bits of its interpolation.
 
-    The windows come from ``spectral._momentum_scan``, the scan loop
-    behind ``band_structure``, and all of them are kept for the matching.
+    The windows come from ``spectral._momentum_scan`` (behind
+    ``band_structure``), trimmed to the states inside ENERGY_WINDOW.
     The midpoint grid is symmetric about k = 0, so when a solved symmetry
     element of the model maps H(k) onto H(-k) on the wire
     (``symmetry.momentum_reversal``) only ceil(nk/2) momenta are solved and
@@ -322,7 +322,7 @@ def hinge_spectral_flow(
     # fourfold-rotation models) land strictly inside a segment instead of on
     # a sample, where their sign is numerical noise.
     ks = -np.pi + (np.arange(nk) + 0.5) * (2.0 * np.pi / nk)
-    data, vecs = _momentum_scan(model, geo, ks[:, None], window, part, seed, keep_vectors=True)
+    data, vecs = _momentum_scan(model, geo, ks[:, None], window, part, seed, keep_below=ENERGY_WINDOW)
     energies = data.energies
     warnings: list[str] = []
     for k, vals in zip(ks, energies):
@@ -335,8 +335,8 @@ def hinge_spectral_flow(
     hinge_rows = [part.names.index(n) for n in hinge_names]
     flows = {n: 0 for n in hinge_names}
     crossings: list[dict] = []
-    # imported here, not at the top: scipy.optimize is ~90 modules and only this matching needs it
-    from scipy.optimize import linear_sum_assignment
+    # imported here, not at the top: scipy.sparse.csgraph (10 modules, ~0.9 MB) serves only this
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
     # Close the loop: the wrap segment (last midpoint -> first midpoint + 2pi)
     # makes the count a true winding over the Brillouin circle.
     for i in range(nk):
@@ -346,8 +346,9 @@ def hinge_spectral_flow(
         sel_b = np.where(np.abs(energies[j]) < ENERGY_WINDOW)[0]
         if len(sel_a) == 0 or len(sel_b) == 0:
             continue
-        ov = np.abs(vecs[i][:, sel_a].conj().T @ vecs[j][:, sel_b])
-        ri, ci = linear_sum_assignment(-ov)
+        ov = np.abs(vecs[i].conj().T @ vecs[j])
+        # each weight 2 - |overlap| > 0: the least-weight full matching has the greatest overlap
+        ri, ci = min_weight_full_bipartite_matching(sp.csr_matrix(2.0 - ov))
         for r, c in zip(ri, ci):
             a, b = sel_a[r], sel_b[c]
             ea, eb = energies[i, a], energies[j, b]

@@ -130,10 +130,10 @@ def folded_near_zero(h, nev: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray
     """
     h = sp.csr_matrix(h)
     n = h.shape[0]
-    if nev >= n - 1:
+    if not 1 <= nev < n - 1:
         raise ValueError(
-            f"sparse solver needs nev < n - 1 (nev {nev}, n {n}); "
-            "near_zero_states routes such cases to the dense solver"
+            f"sparse solver needs nev at least 1 and below n - 1 (nev {nev}, n {n}); "
+            "near_zero_states routes whole-spectrum requests to the dense solver"
         )
     scale = max(spectral_norm_bound(h), 1e-30)
     rng = np.random.default_rng(seed)
@@ -155,6 +155,8 @@ def near_zero_states(h, nev: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray
     solver) at any size; a whole-spectrum request diagonalizes densely.
     Both return the ``nev`` pairs nearest zero, sorted by energy, and raise
     unless each residual is within ``RESIDUAL_FACTOR`` of a norm bound of H."""
+    if nev < 1:
+        raise ValueError(f"nev must be at least 1, got {nev}")
     if nev < h.shape[0] - 1:
         return folded_near_zero(h, nev, seed=seed)
     vals, vecs = _window(*dense_eigh(h), nev)
@@ -277,7 +279,7 @@ def _momentum_scan(
     nev: int | None,
     partition: RegionPartition | None,
     seed: int,
-    keep_vectors: bool = False,
+    keep_below: float | None = None,
 ):
     """The one momentum-scan loop: every near-zero solve of a hopping model
     (``band_structure``, the hinge flow, the corner index and the ``cli``
@@ -294,8 +296,8 @@ def _momentum_scan(
     first ceil(n/2) momenta are solved: the window at -k is the mapped
     window at k, with the same energies, and must pass the same residual
     check against H(-k).  A scan of one momentum maps nothing, so it seeks
-    no such element.  Returns the band data and, with ``keep_vectors``,
-    every window's (disentangled) eigenvectors.
+    no such element.  Returns the band data (of whole windows) and, with
+    ``keep_below``, each window's disentangled eigenvectors of |E| below it.
     """
     momenta = np.atleast_2d(np.asarray(momenta, dtype=float))
     asm = Assembly(model, geometry)
@@ -330,13 +332,13 @@ def _momentum_scan(
             if partition is not None:
                 v = _disentangle_clusters(vals, v, partition)
                 weights[idx] = partition.weights(v).T
-            if keep_vectors:
-                kept[idx] = v
+            if keep_below is not None:
+                kept[idx] = v.compress(np.abs(vals) < keep_below, axis=1)  # keeps v's C order
     data = BandData(momenta, np.array(energies), None if partition is None else np.array(weights),
                     () if partition is None else partition.names,
                     None if reversal is None else reversal.label,
                     None if gauge is None else gauge[0], nsolve)
-    return data, kept if keep_vectors else None
+    return data, None if keep_below is None else kept
 
 
 def band_structure(

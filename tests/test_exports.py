@@ -1,5 +1,6 @@
 """Every name a hotilab module exports in ``__all__`` exists in it, and
-importing hotilab loads no more of scipy than its halves need."""
+neither importing hotilab nor running its hinge flow loads more of scipy
+than its halves need: the exact half no scipy, the rest no scipy.optimize."""
 
 import importlib
 import json
@@ -38,8 +39,8 @@ def run_fresh(code: str) -> str:
 
 
 def test_imports_load_no_scipy_optimize():
-    # the exact half loads no scipy at all; the rest loads scipy.optimize
-    # only when the hinge flow first matches states
+    # the exact half loads no scipy at all; no module loads scipy.optimize, nor
+    # scipy.sparse.csgraph, which only the hinge flow's matching needs
     run_fresh(
         "import importlib, pkgutil, sys\n"
         "import hotilab.fgab, hotilab.ktheory, hotilab.patterns\n"
@@ -49,18 +50,22 @@ def test_imports_load_no_scipy_optimize():
         "    importlib.import_module('hotilab.' + m.name)\n"
         "assert 'hotilab.cli' in sys.modules\n"
         "assert 'scipy.optimize' not in sys.modules\n"
+        "assert 'scipy.sparse.csgraph' not in sys.modules\n"
     )
 
 
-def test_hinge_flow_loads_scipy_optimize_when_it_matches():
+def test_hinge_flow_never_loads_scipy_optimize():
+    # the overlap matching runs on scipy.sparse.csgraph
     out = run_fresh(
-        "import json, sys\n"
+        "import importlib, json, pkgutil, sys\n"
+        "import hotilab\n"
+        "for m in pkgutil.iter_modules(hotilab.__path__):\n"
+        "    importlib.import_module('hotilab.' + m.name)\n"
         "from hotilab.invariants import hinge_spectral_flow\n"
         "from hotilab.models import builtin_model\n"
-        "model = builtin_model('ham1')\n"
+        "rep = hinge_spectral_flow(builtin_model('ham1'), side=12, nk=41, window=12)\n"
         "assert 'scipy.optimize' not in sys.modules\n"
-        "rep = hinge_spectral_flow(model, side=12, nk=41, window=12)\n"
-        "assert 'scipy.optimize' in sys.modules\n"
+        "assert 'scipy.sparse.csgraph' in sys.modules\n"
         "print(json.dumps(rep.flows))\n"
     )
     assert json.loads(out) == {"hinge1": 1, "hinge2": 0, "hinge3": -1, "hinge4": 0}

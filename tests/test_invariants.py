@@ -275,24 +275,32 @@ def test_hinge_flow_warns_when_no_band_crosses_zero():
     assert any("every hinge flow is 0" in w for w in rep.warnings)
 
 
-def hand_built_flow(monkeypatch, energies, overlap=1.0, hinge_weight=1.0):
+def hand_built_flow(monkeypatch, energies, overlap=1.0, hinge_weight=1.0, second=0.9):
     """Hinge flow of a side-4 ham1 wire whose scan is replaced by hand-built
     windows, so no solve runs.  One band takes ``energies`` on the nk-point
-    midpoint grid; a second sits at 0.9, outside ENERGY_WINDOW, so no window
-    saturates.  At the second momentum the band's vector is turned so that
-    its overlap with the others is ``overlap``; it puts ``hinge_weight`` on
-    hinge1 and the rest on the interior."""
+    midpoint grid; a second takes ``second`` (by default 0.9, outside
+    ENERGY_WINDOW, so no window saturates).  At the second momentum both
+    vectors are turned in the plane of the two bands, so that the first
+    band's overlap with the first band at the other momenta is ``overlap``
+    and the second band's is sqrt(1 - overlap^2).  Both bands put
+    ``hinge_weight`` on hinge1 and the rest on the interior.  Like the scan,
+    the stub keeps only the vectors of states inside ENERGY_WINDOW."""
     model = builtin_model("ham1")
     part = spectral.wire_regions(wire_geometry(3, 4), model.norb)
     nk = len(energies)
-    e = np.column_stack([energies, np.full(nk, 0.9)])
+    e = np.column_stack([energies, np.broadcast_to(second, nk)])
     weights = np.zeros((nk, 2, len(part.names)))
     weights[:, :, part.names.index("hinge1")] = hinge_weight
     weights[:, :, part.names.index("interior")] = 1.0 - hinge_weight
-    turned = np.array([[overlap, 0.0], [np.sqrt(1.0 - overlap**2), 0.0], [0.0, 1.0]])
+    s = np.sqrt(1.0 - overlap**2)
+    turned = np.array([[overlap, -s], [s, overlap], [0.0, 0.0]])
     vecs = [turned if i == 1 else np.eye(3)[:, :2] for i in range(nk)]
     data = spectral.BandData(np.zeros((nk, 1)), e, weights, part.names, None, None, nk)
-    monkeypatch.setattr(invariants, "_momentum_scan", lambda *args, **kwargs: (data, vecs))
+
+    def scan(*args, keep_below):
+        return data, [v[:, np.abs(ek) < keep_below] for v, ek in zip(vecs, e)]
+
+    monkeypatch.setattr(invariants, "_momentum_scan", scan)
     return hinge_spectral_flow(model, side=4, nk=nk, window=2)
 
 
@@ -336,6 +344,26 @@ def test_a_crossing_near_the_zone_edge_reads_minus_pi(monkeypatch, skew, at_edge
     assert crossing["slope"] == 1 and crossing["hinge"] == "hinge1"
     assert (crossing["k"] == -np.pi) is at_edge
     assert np.pi - abs(crossing["k"]) <= (ZONE_EDGE_TOL if at_edge else 1e-6)
+
+
+@pytest.mark.parametrize("energies, slope", [([-0.1, 0.1, 0.5], 1), ([0.5, 0.1, -0.1], -1)],
+                         ids=["1x2", "2x1"])
+@pytest.mark.parametrize("overlap", [0.9, 0.3])
+def test_unequal_windows_pair_the_larger_overlap(monkeypatch, energies, slope, overlap):
+    # at the second momentum both bands sit inside ENERGY_WINDOW, at its
+    # neighbours only the first: the band that crosses zero is paired across
+    # the 1x2 (or 2x1) segment only when its overlap beats the second band's
+    rep = hand_built_flow(monkeypatch, energies, overlap=overlap, second=[0.9, -0.2, 0.9])
+    if overlap > np.sqrt(1.0 - overlap**2):
+        [crossing] = rep.crossings
+        assert crossing["slope"] == slope and crossing["hinge"] == "hinge1"
+        assert crossing["k"] == pytest.approx(-slope * np.pi / 3)
+        assert rep.flows["hinge1"] == slope
+    else:  # the straddling band, paired with nothing, is not even an ignored straddle
+        assert rep.crossings == [] and rep.warnings == [
+            "solver window saturated inside |E|<0.3 at k=0.000; increase the window",
+            "no band crosses E = 0 inside |E|<0.3, so every hinge flow is 0; raise side or nk",
+        ]
 
 
 def test_trim_parities_ham1():

@@ -177,6 +177,20 @@ def test_folded_rejects_nearly_full_spectrum():
     assert len(vals) == 35
 
 
+@pytest.mark.parametrize("nev", [0, -3])
+def test_an_empty_window_is_rejected_before_any_factorization(monkeypatch, nev):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factored H for a window of no states")
+
+    monkeypatch.setattr(spectral.spla, "splu", refuse)
+    with pytest.raises(ValueError, match=f"nev must be at least 1, got {nev}"):
+        near_zero_states(_wire_ham(side=4), nev)
+    with pytest.raises(ValueError, match="nev at least 1"):
+        folded_near_zero(_wire_ham(side=4), nev)
+    with pytest.raises(ValueError, match="at least 1"):
+        band_structure(builtin_model("ham2"), wire_geometry(3, 4), [(0.0,), (0.5,)], window=nev)
+
+
 def test_regions_match_per_site_loop():
     from math import ceil
 
@@ -320,6 +334,24 @@ def test_band_scan_without_reversal_solves_every_momentum(monkeypatch):
     assert len(calls) == 9
     assert data.k_reversal is None and data.solved_momenta == 9
     assert data.energies.shape == (9, 8) and data.weights.shape == (9, 8, 9)
+
+
+def test_a_trimmed_scan_keeps_the_whole_window_columns_below_its_bound():
+    model = builtin_model("ham2")
+    geo = wire_geometry(3, 8)
+    args = (model, geo, np.linspace(-np.pi, np.pi, 5)[:, None], 12, wire_regions(geo, 4), 0)
+    whole, whole_vecs = spectral._momentum_scan(*args, keep_below=np.inf)
+    bound = float(np.median(np.abs(whole.energies)))
+    trimmed, vecs = spectral._momentum_scan(*args, keep_below=bound)
+    assert np.array_equal(trimmed.energies, whole.energies)
+    assert np.array_equal(trimmed.weights, whole.weights)
+    assert all(v.shape[1] == 12 for v in whole_vecs)
+    for e, full, v in zip(whole.energies, whole_vecs, vecs):
+        assert np.array_equal(v, full[:, np.abs(e) < bound])
+        # in the solver's C order: region weights and overlaps summed from
+        # an F-ordered copy differ in their last bits
+        assert full.flags.c_contiguous and v.flags.c_contiguous
+    assert 0 < sum(v.shape[1] for v in vecs) < 5 * 12
 
 
 @pytest.mark.parametrize("mname, geo", [
