@@ -4,7 +4,12 @@ Everything in this module is integer-exact: matrices are numpy arrays with
 ``dtype=object`` holding Python ints, so arbitrary precision is automatic.
 A group is presented as Z^n modulo the column span of a relation matrix;
 subgroups of a presented group are integer lattices between the relation
-lattice and Z^n, canonicalized by a column Hermite form.  Smith normal form
+lattice and Z^n.  Every lattice this module returns (``lattice_sum``, a
+map's ``image_lattice``, ``kernel_lattice`` and ``preimage_lattice``) is
+already a column Hermite form, which is unique, so two lattices are equal
+exactly when their arrays are equal, and a lattice spanning Z^n is
+``ieye(n)``.  A map computes its image and kernel lattices once, on first
+use, and hands out the same read-only arrays after that.  Smith normal form
 returns the full transform pair (U, D, V) with U M V = D exactly.  Both
 kernels compute on lists of Python ints and return object arrays.
 
@@ -31,13 +36,11 @@ __all__ = [
     "kernel_basis",
     "integer_rank",
     "lattice_sum",
-    "lattice_contains",
     "FGAbelianGroup",
     "GroupMap",
     "Subquotient",
     "describe",
     "free_group",
-    "zero_map",
 ]
 
 
@@ -254,11 +257,6 @@ def lattice_sum(a, b) -> np.ndarray:
     return hermite_column_form(np.concatenate([a, b], axis=1))
 
 
-def lattice_contains(lat, x) -> bool:
-    lat = _as_imat(lat)
-    return FGAbelianGroup(lat.shape[0], lat).is_zero(x)
-
-
 # ---------------------------------------------------------------------------
 # presented groups
 
@@ -382,26 +380,29 @@ class GroupMap:
         return GroupMap(other.src, self.dst, self.matrix @ other.matrix)
 
     # -- lattices ----------------------------------------------------------
+    # computed once per map and read-only, so every reader shares the arrays
+    @cached_property
     def image_lattice(self) -> np.ndarray:
         """Full preimage-in-Z^n lattice of the image subgroup of dst."""
-        return lattice_sum(self.matrix, self.dst.relations)
+        lat = lattice_sum(self.matrix, self.dst.relations)
+        lat.flags.writeable = False
+        return lat
 
+    @cached_property
     def kernel_lattice(self) -> np.ndarray:
         """Lattice of {x in Z^src : f(x) = 0 in dst} (contains src relations)."""
-        return self.preimage_lattice(self.dst.relations)
+        lat = self.preimage_lattice(izeros(self.dst.ngens, 0))
+        lat.flags.writeable = False
+        return lat
 
     def preimage_lattice(self, lat_dst) -> np.ndarray:
-        lat = lattice_sum(lat_dst, self.dst.relations)
+        """Lattice of {x in Z^src : f(x) in lat_dst + dst relations}."""
         a = self.matrix
-        ker = kernel_basis(np.concatenate([a, -lat], axis=1))
+        ker = kernel_basis(np.concatenate([a, -_as_imat(lat_dst), -self.dst.relations], axis=1))
         return lattice_sum(ker[: a.shape[1], :], self.src.relations)
 
     def is_zero_map(self) -> bool:
         return self.dst.is_zero(self.matrix)
-
-
-def zero_map(src: FGAbelianGroup, dst: FGAbelianGroup) -> GroupMap:
-    return GroupMap(src, dst, izeros(dst.ngens, src.ngens))
 
 
 # ---------------------------------------------------------------------------

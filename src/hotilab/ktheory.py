@@ -47,7 +47,6 @@ from .fgab import (
     imat,
     izeros,
     kernel_basis,
-    lattice_sum,
     smith_normal_form,
     solve_integer,
 )
@@ -77,15 +76,6 @@ PRESET_NAMES = (
     "cube-plain",
     "quarter-mirror-chiral",
 )
-
-
-def _same_lattice(a, b) -> bool:
-    ca, cb = hermite_column_form(a), hermite_column_form(b)
-    return ca.shape == cb.shape and bool(np.array_equal(ca, cb))
-
-
-def _full_lattice(g: FGAbelianGroup) -> np.ndarray:
-    return lattice_sum(ieye(g.ngens), g.relations)
 
 
 def _lattice_invariants(lat) -> tuple[int, ...]:
@@ -150,7 +140,7 @@ class CofiltrationData:
             if d >= 3:
                 # the induced beta must still square to zero one level down,
                 # but only on classes where the lift data is ever used
-                ker = self.boundary[(0, eps)].kernel_lattice()
+                ker = self.boundary[(0, eps)].kernel_lattice
                 down = self.boundary[(2, eps ^ 1)].matrix @ mat @ ker
                 if not self.strata[(3, eps)].is_zero(down):
                     raise ValueError(
@@ -197,32 +187,31 @@ class ExactCouple:
         return (p - self.page, (t + self.page - 1) % 2)
 
     def verify(self) -> None:
-        """Check ker = im at every node; raise naming the first violation."""
-        d, r = self.length, self.page
+        """Check ker = im at every node; raise naming the first violation.
+
+        Every lattice compared is a column HNF, so equal lattices are equal
+        arrays, and a lattice spanning all of D[p, t] is the identity.
+        """
+        d = self.length
         for p in range(d + 1):
             for t in (0, 1):
-                dg = self.d_groups[(p, t)]
-                im_g = self.gamma[(p, t)].image_lattice()
-                ker_a = self.alpha[(p, t)].kernel_lattice() if p >= 1 else _full_lattice(dg)
-                if not _same_lattice(im_g, ker_a):
+                full = ieye(self.d_groups[(p, t)].ngens)
+                im_g = self.gamma[(p, t)].image_lattice
+                ker_a = self.alpha[(p, t)].kernel_lattice if p >= 1 else full
+                if not np.array_equal(im_g, ker_a):
                     raise ValueError(f"exactness fails at D[{p},{t}]: im gamma != ker alpha")
-                im_a = (
-                    self.alpha[(p + 1, t ^ 1)].image_lattice()
-                    if p + 1 <= d
-                    else _full_lattice(dg)  # alpha is the identity above the top
-                )
-                ker_b = (
-                    self.beta[(p, t)].kernel_lattice()
-                    if (p, t) in self.beta
-                    else _full_lattice(dg)
-                )
-                if not _same_lattice(im_a, ker_b):
+                # alpha is the identity above the top
+                im_a = self.alpha[(p + 1, t ^ 1)].image_lattice if p + 1 <= d else full
+                ker_b = self.beta[(p, t)].kernel_lattice if (p, t) in self.beta else full
+                if not np.array_equal(im_a, ker_b):
                     raise ValueError(f"exactness fails at D[{p},{t}]: im alpha != ker beta")
-                eg = self.e_groups[(p, t)]
                 src = self.differential_source(p, t)
-                im_b = self.beta[src].image_lattice() if src[0] >= 0 else eg.relations
-                ker_g = self.gamma[(p, t)].kernel_lattice()
-                if not _same_lattice(lattice_sum(im_b, eg.relations), ker_g):
+                im_b = (
+                    self.beta[src].image_lattice
+                    if src[0] >= 0
+                    else hermite_column_form(self.e_groups[(p, t)].relations)
+                )
+                if not np.array_equal(im_b, self.gamma[(p, t)].kernel_lattice):
                     raise ValueError(f"exactness fails at E[{p},{t}]: im beta != ker gamma")
 
 
@@ -253,7 +242,7 @@ def build_couple(cd: CofiltrationData) -> ExactCouple:
         if p >= 1:
             for t in (0, 1):
                 e = eg[(p, t)]
-                coker_rel = be[(p - 1, t)].image_lattice()
+                coker_rel = be[(p - 1, t)].image_lattice
                 ksq = ker_sq[(p - 1, t ^ 1)]
                 nk = ksq.group.ngens
                 rel = izeros(e.ngens + nk, coker_rel.shape[1] + ksq.group.relations.shape[1])
@@ -288,7 +277,7 @@ def build_couple(cd: CofiltrationData) -> ExactCouple:
                         bmat[:, ne:] = lift @ ksq.basis
             bm = GroupMap(src, tgt, bmat)
             be[(p, t)] = bm
-            ker_sq[(p, t)] = Subquotient(src, bm.kernel_lattice(), src.relations)
+            ker_sq[(p, t)] = Subquotient(src, bm.kernel_lattice, src.relations)
 
     return ExactCouple(d, 1, dg, eg, al, be, ga, name=cd.name)
 
@@ -306,26 +295,17 @@ def _derive_with_data(c: ExactCouple, rng=None):
     for p in range(d + 1):
         for t in (0, 1):
             dgrp = c.d_groups[(p, t)]
-            sub = (
-                c.alpha[(p + 1, t ^ 1)].image_lattice()
-                if p + 1 <= d
-                else _full_lattice(dgrp)
-            )
+            sub = c.alpha[(p + 1, t ^ 1)].image_lattice if p + 1 <= d else ieye(dgrp.ngens)
             dsq[(p, t)] = Subquotient(dgrp, sub, dgrp.relations)
             egrp = c.e_groups[(p, t)]
             gsub = c.gamma[(p, t)].preimage_lattice(sub)
             src = c.differential_source(p, t)
             if src[0] >= 0:
-                srcd = c.d_groups[src]
-                ker = (
-                    c.alpha[src].kernel_lattice()
-                    if src[0] >= 1
-                    else _full_lattice(srcd)
-                )
+                ker = c.alpha[src].kernel_lattice if src[0] >= 1 else ieye(c.d_groups[src].ngens)
                 quot = c.beta[src].matrix @ ker
             else:
                 quot = izeros(egrp.ngens, 0)
-            esq[(p, t)] = Subquotient(egrp, gsub, lattice_sum(quot, egrp.relations))
+            esq[(p, t)] = Subquotient(egrp, gsub, quot)
 
     nd = {k: sq.group for k, sq in dsq.items()}
     ne = {k: sq.group for k, sq in esq.items()}
@@ -348,7 +328,7 @@ def _derive_with_data(c: ExactCouple, rng=None):
                     raise RuntimeError(f"no alpha-lift for derived generator at D[{p},{t}]")
                 y = sol[: alpha_up.src.ngens, :]
                 if rng is not None:
-                    kl = alpha_up.kernel_lattice()
+                    kl = alpha_up.kernel_lattice
                     if kl.shape[1]:
                         y = y + kl @ imat(rng.integers(-2, 3, size=(kl.shape[1], y.shape[1])))
                 tnode = (p + r + 1, (t + r) % 2)
@@ -378,11 +358,11 @@ def page_homology(c: ExactCouple, p: int, t: int) -> tuple[int, tuple[int, ...]]
     """
     egrp = c.e_groups[(p, t)]
     dout = c.differential(p, t)
-    sub = dout.kernel_lattice() if dout is not None else _full_lattice(egrp)
+    sub = dout.kernel_lattice if dout is not None else ieye(egrp.ngens)
     src = c.differential_source(p, t)
     din = c.differential(*src) if src[0] >= 0 else None
-    quot = din.image_lattice() if din is not None else egrp.relations
-    return Subquotient(egrp, sub, lattice_sum(quot, egrp.relations)).canonical()
+    quot = din.image_lattice if din is not None else egrp.relations
+    return Subquotient(egrp, sub, quot).canonical()
 
 
 # ---------------------------------------------------------------------------
@@ -775,9 +755,11 @@ def cofiltration_to_dict(cd: CofiltrationData) -> dict:
     }
 
 
-def _mat_from_rows(rows, nrows: int, ncols: int) -> np.ndarray:
+def _mat_from_rows(rows, nrows: int, ncols: int, entry: str) -> np.ndarray:
     # nested-list round trips lose the column count of empty matrices, so
-    # rebuild against the declared shape
+    # rebuild against the declared shape, which every row must fill
+    if len(rows) != nrows or any(len(row) != ncols for row in rows):
+        raise ValueError(f"{entry} needs {nrows} rows of {ncols} entries, its declared shape")
     m = izeros(nrows, ncols)
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
@@ -795,10 +777,11 @@ def cofiltration_from_dict(data: dict) -> CofiltrationData:
     for key, mat in data["boundary"].items():
         p, eps = (int(x) for x in key.split(","))
         src, dst = strata[(p, eps)], strata[(p + 1, eps ^ 1)]
-        boundary[(p, eps)] = GroupMap(src, dst, _mat_from_rows(mat, dst.ngens, src.ngens))
+        mat = _mat_from_rows(mat, dst.ngens, src.ngens, f"boundary {key!r}")
+        boundary[(p, eps)] = GroupMap(src, dst, mat)
     second = {
         int(eps): _mat_from_rows(
-            m, strata[(2, int(eps) ^ 1)].ngens, strata[(0, int(eps))].ngens
+            m, strata[(2, int(eps) ^ 1)].ngens, strata[(0, int(eps))].ngens, f"second_order {eps!r}"
         )
         for eps, m in data.get("second_order", {}).items()
     }

@@ -606,6 +606,25 @@ def test_kss_subcommand_reads_cofiltration_file(tmp_path, capsys):
     assert rep["length"] == 2
 
 
+@pytest.mark.parametrize("table, key, rows, shape", [
+    ("boundary", "1,1", [[1, 0, 1], [-1, 0, 1, 0]], "2 rows of 4"),  # short row
+    ("boundary", "1,1", [[1, 0, 1, 0]], "2 rows of 4"),  # missing row
+    ("boundary", "1,1", [[1, 0, 1, 0, 0], [-1, 0, 1, 0]], "2 rows of 4"),  # long row
+    ("second_order", "0", [[0, 1]], "2 rows of 2"),  # missing row
+])
+def test_kss_rejects_a_matrix_off_its_declared_shape(tmp_path, capsys, table, key, rows, shape):
+    from hotilab.ktheory import cofiltration_to_dict, preset_cofiltration
+
+    doc = cofiltration_to_dict(preset_cofiltration("square-inversion"))
+    doc[table][key] = rows
+    path = tmp_path / "cd.json"
+    path.write_text(json.dumps(doc))
+    assert main(["kss", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{table} {key!r} needs {shape} entries" in captured.err
+
+
 def test_transversal_subcommand_counts(tmp_path, capsys):
     assert main(["transversal", "square"]) == 0
     rep = json.loads(capsys.readouterr().out)

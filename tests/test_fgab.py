@@ -1,6 +1,7 @@
 """Exactness tests for the integer-matrix / abelian-group calculus."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import hotilab.fgab as fgab
@@ -15,7 +16,6 @@ from hotilab.fgab import (
     integer_rank,
     izeros,
     kernel_basis,
-    lattice_contains,
     lattice_sum,
     smith_normal_form,
     solve_integer,
@@ -267,6 +267,34 @@ def test_kernels_match_reference_beyond_int64(m):
 # Hermite form / lattice calculus
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(6), matrices(6, beyond_int64)))
+def test_hermite_is_idempotent(m):
+    h = hermite_column_form(m)
+    _assert_identical(hermite_column_form(h), h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(matrices(6), matrices(6, beyond_int64)), st.data())
+def test_hermite_of_a_full_lattice_is_the_identity(m, data):
+    # the identity's columns, shuffled in among any others, span Z^n
+    n = m.shape[0]
+    gens = np.concatenate([m, ieye(n)], axis=1)
+    order = data.draw(st.permutations(range(gens.shape[1])))
+    _assert_identical(hermite_column_form(gens[:, list(order)]), ieye(n))
+
+
+def test_map_lattices_are_made_once_and_read_only():
+    z6 = FGAbelianGroup(2, [[6], [0]])
+    f = GroupMap(FGAbelianGroup(2), z6, [[2, 1], [0, 3]])
+    for lat in (f.kernel_lattice, f.image_lattice):
+        assert not lat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            lat[0, 0] = 7
+    assert f.kernel_lattice is f.kernel_lattice
+    assert f.image_lattice is f.image_lattice
+
+
 def test_hermite_canonical_for_equivalent_generators():
     base = random_imat(4, 3)
     # right-multiplying by a unimodular matrix keeps the column lattice
@@ -290,9 +318,9 @@ def test_hermite_same_lattice(m):
     h = hermite_column_form(m)
     # every original column lies in the HNF lattice and vice versa
     for j in range(m.shape[1]):
-        assert lattice_contains(h, m[:, j].reshape(-1, 1))
+        assert FGAbelianGroup(h.shape[0], h).is_zero(m[:, j].reshape(-1, 1))
     for j in range(h.shape[1]):
-        assert lattice_contains(m, h[:, j].reshape(-1, 1)) or m.shape[1] == 0
+        assert FGAbelianGroup(m.shape[0], m).is_zero(h[:, j].reshape(-1, 1)) or m.shape[1] == 0
 
 
 def test_solve_integer():
@@ -314,12 +342,12 @@ def test_lattice_intersect_sum():
     a = imat([[2], [0]])
     b = imat([[0], [3]])
     s = lattice_sum(a, b)
-    assert lattice_contains(s, imat([[2], [3]]))
+    assert FGAbelianGroup(2, s).is_zero(imat([[2], [3]]))
     # 2Z x Z meets 3Z x Z in the kernel of Z^2 -> Z^2/(2Z x Z) + Z^2/(3Z x Z)
     both = FGAbelianGroup(4, [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
-    i = GroupMap(FGAbelianGroup(2), both, [[1, 0], [0, 1], [1, 0], [0, 1]]).kernel_lattice()
-    assert lattice_contains(i, imat([[6], [0]]))
-    assert not lattice_contains(i, imat([[2], [0]]))
+    i = GroupMap(FGAbelianGroup(2), both, [[1, 0], [0, 1], [1, 0], [0, 1]]).kernel_lattice
+    assert FGAbelianGroup(2, i).is_zero(imat([[6], [0]]))
+    assert not FGAbelianGroup(2, i).is_zero(imat([[2], [0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +378,7 @@ def test_group_reduce_and_equal():
     # a matrix is zero when every column is: members, then one non-member
     members = g3.relations @ random_imat(2, 5)
     for m in (members, np.concatenate([members, imat([[0], [1], [0]])], axis=1), xs):
-        cols = [lattice_contains(g3.relations, m[:, [j]]) for j in range(m.shape[1])]
+        cols = [FGAbelianGroup(3, g3.relations).is_zero(m[:, [j]]) for j in range(m.shape[1])]
         assert g3.is_zero(m) == all(cols)
     assert g3.is_zero(members)
 
@@ -393,10 +421,10 @@ def test_map_kernel_image():
     z = FGAbelianGroup(1)
     z2 = FGAbelianGroup(1, [[2]])
     f = GroupMap(z, z2, [[1]])
-    ker = Subquotient(z, f.kernel_lattice(), izeros(1, 0))
+    ker = Subquotient(z, f.kernel_lattice, izeros(1, 0))
     assert describe(ker.canonical()) == "Z"  # kernel = 2Z = Z as a group
-    assert lattice_contains(f.kernel_lattice(), imat([[2]]))
-    assert not lattice_contains(f.kernel_lattice(), imat([[1]]))
+    assert FGAbelianGroup(1, f.kernel_lattice).is_zero(imat([[2]]))
+    assert not FGAbelianGroup(1, f.kernel_lattice).is_zero(imat([[1]]))
 
 
 def test_subquotient_pinned():

@@ -13,7 +13,6 @@ from hotilab.fgab import (
     imat,
     izeros,
     kernel_basis,
-    zero_map,
 )
 from hotilab.ktheory import (
     PRESET_NAMES,
@@ -63,7 +62,8 @@ def test_first_differential_is_stored_boundary(name):
 
 def test_tampered_couple_is_rejected():
     c = build_couple(preset_cofiltration("square-inversion"))
-    c.beta[(1, 1)] = zero_map(c.d_groups[(1, 1)], c.e_groups[(2, 1)])
+    src, dst = c.d_groups[(1, 1)], c.e_groups[(2, 1)]
+    c.beta[(1, 1)] = GroupMap(src, dst, izeros(dst.ngens, src.ngens))
     with pytest.raises(ValueError, match="exactness fails at D"):
         derive_couple(c)
 
@@ -362,6 +362,23 @@ def test_cofiltration_round_trip():
                 assert ca.e_groups[node].canonical() == cb.e_groups[node].canonical()
 
 
+def test_random_cofiltrations_round_trip_through_json_text():
+    rng = np.random.default_rng(26)
+    for i in range(200):
+        cd = random_cofiltration(rng, max_rank=i % 4)
+        cd2 = cofiltration_from_dict(json.loads(json.dumps(cofiltration_to_dict(cd))))
+        assert cd2.length == cd.length
+        for key, g in cd.strata.items():
+            assert cd2.strata[key].ngens == g.ngens and cd2.strata[key].labels == g.labels
+        for key, f in cd.boundary.items():
+            m = cd2.boundary[key].matrix
+            assert m.shape == f.matrix.shape and np.array_equal(m, f.matrix)
+        assert cd2.second_order.keys() == cd.second_order.keys()
+        for eps, m in cd.second_order.items():
+            assert cd2.second_order[eps].shape == m.shape
+            assert np.array_equal(cd2.second_order[eps], m)
+
+
 def test_round_trip_through_json_text():
     cd = preset_cofiltration("quarter-mirror-chiral")
     text = json.dumps(cofiltration_to_dict(cd))
@@ -398,27 +415,46 @@ def test_page_turn_keeps_each_subquotient_group():
 # Smith normal forms of one couple_report, an upper bound that keeps each
 # group to one factorization of its own relations
 REPORT_SNF_CALLS = {
-    "square-plain-2": 90,
-    "square-plain-3": 100,
-    "square-inversion": 83,
-    "square-C2T": 83,
-    "square-C4T": 83,
-    "cube-plain": 216,
-    "quarter-mirror-chiral": 87,
+    "square-plain-2": 84,
+    "square-plain-3": 94,
+    "square-inversion": 78,
+    "square-C2T": 78,
+    "square-C4T": 78,
+    "cube-plain": 204,
+    "quarter-mirror-chiral": 81,
 }
 
+# Hermite forms of one couple_report, an upper bound that keeps each map's
+# image and kernel lattices to one canonicalization each
+REPORT_HNF_CALLS = {name: 102 for name in PRESET_NAMES} | {"cube-plain": 224}
 
-def test_report_smith_forms_stay_bounded(monkeypatch):
+
+def _report_calls(monkeypatch, fn_name):
+    """Calls to fgab's ``fn_name`` made by one couple_report of each preset."""
     calls = []
-    snf = fgab.smith_normal_form
+    fn = getattr(fgab, fn_name)
 
     def counted(m):
         calls.append(1)
-        return snf(m)
+        return fn(m)
 
-    monkeypatch.setattr(fgab, "smith_normal_form", counted)
-    monkeypatch.setattr(ktheory, "smith_normal_form", counted)
+    monkeypatch.setattr(fgab, fn_name, counted)
+    monkeypatch.setattr(ktheory, fn_name, counted)
+    made = {}
     for name in PRESET_NAMES:
         calls.clear()
         couple_report(preset_cofiltration(name))
-        assert len(calls) <= REPORT_SNF_CALLS[name], name
+        made[name] = len(calls)
+    return made
+
+
+def test_report_smith_forms_stay_bounded(monkeypatch):
+    made = _report_calls(monkeypatch, "smith_normal_form")
+    for name in PRESET_NAMES:
+        assert made[name] <= REPORT_SNF_CALLS[name], name
+
+
+def test_report_hermite_forms_stay_bounded(monkeypatch):
+    made = _report_calls(monkeypatch, "hermite_column_form")
+    for name in PRESET_NAMES:
+        assert made[name] <= REPORT_HNF_CALLS[name], name
