@@ -90,6 +90,7 @@ from .symmetry import (
     builtin_action,
     check_covariance,
     generator_order,
+    real_gauge,
     verify_projective_relations,
 )
 
@@ -372,10 +373,13 @@ def _task_bands(model, geometry, scans, outdir, label):
     direction = geometry.open_dirs[0]
     depth = int(geometry.extents[direction])
     momenta = np.column_stack([_momentum_path(nk), np.zeros(nk)])
-    energies = np.array(list(dense_spectra(slab_bloch(model, direction, depth), momenta)))
-    write_band_csv(path, BandData(momenta, energies, None, (), None, None, nk))
+    gauge = real_gauge(model, geometry)
+    energies = np.array(list(dense_spectra(slab_bloch(model, direction, depth, gauge), momenta)))
+    gauge_label = None if gauge is None else gauge[0]
+    write_band_csv(path, BandData(momenta, energies, None, (), None, gauge_label, nk))
     gap = scans.gap(label, model, geometry)
-    return [path], {"min_abs_energy_grid": gap, "min_abs_energy_line": float(np.min(np.abs(energies)))}
+    return [path], {"min_abs_energy_grid": gap, "min_abs_energy_line": float(np.min(np.abs(energies))),
+                    "real_gauge": gauge_label}
 
 
 def _task_invariants(model, geometry, scans, outdir, label):

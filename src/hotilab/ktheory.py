@@ -735,7 +735,16 @@ def _group_to_dict(g: FGAbelianGroup) -> dict:
     }
 
 
-def _group_from_dict(d: dict) -> FGAbelianGroup:
+def _check_integers(rows, entry: str) -> None:
+    """Raise unless every entry of the nested list ``rows`` is a Python int: a
+    float, string or bool read from JSON would otherwise convert silently."""
+    for v in np.array(rows, dtype=object).ravel():
+        if type(v) is not int:
+            raise ValueError(f"{entry} has the entry {v!r}; matrix entries must be integers")
+
+
+def _group_from_dict(d: dict, entry: str) -> FGAbelianGroup:
+    _check_integers(d.get("relations") or [], f"{entry} relations")
     rel = imat(d["relations"]) if d.get("relations") else izeros(d["ngens"], 0)
     if rel.size == 0:
         rel = izeros(d["ngens"], 0)
@@ -760,10 +769,11 @@ def _mat_from_rows(rows, nrows: int, ncols: int, entry: str) -> np.ndarray:
     # rebuild against the declared shape, which every row must fill
     if len(rows) != nrows or any(len(row) != ncols for row in rows):
         raise ValueError(f"{entry} needs {nrows} rows of {ncols} entries, its declared shape")
+    _check_integers(rows, entry)
     m = izeros(nrows, ncols)
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            m[i, j] = int(v)
+            m[i, j] = v
     return m
 
 
@@ -772,7 +782,7 @@ def cofiltration_from_dict(data: dict) -> CofiltrationData:
     strata = {}
     for key, gd in data["strata"].items():
         p, eps = (int(x) for x in key.split(","))
-        strata[(p, eps)] = _group_from_dict(gd)
+        strata[(p, eps)] = _group_from_dict(gd, f"strata {key!r}")
     boundary = {}
     for key, mat in data["boundary"].items():
         p, eps = (int(x) for x in key.split(","))

@@ -16,7 +16,10 @@ site array), disentangling degenerate clusters so weights are stable under
 basis ambiguity.  Gap scans (slabs, edges, the bulk) run one dense
 ``eigvalsh`` loop, ``dense_spectra``, over a Bloch callable at one momentum
 per orbit of the solved k-maps of ``symmetry.covariant_elements``, each
-spot-checked once.
+spot-checked once.  A slab's Bloch callable sums its dense blocks with their
+phases as one product; where ``real_gauge`` finds V, the hoppings are rotated
+by V once, and the slab and edge gap scans and the slab ``bands`` panels
+diagonalize real matrices.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .models import Assembly, Geometry, HoppingModel, bulk_geometry, slab_geometry
-from .symmetry import covariant_elements, momentum_reversal, real_gauge
+from .symmetry import RELATION_TOL, covariant_elements, momentum_reversal, real_gauge
 
 __all__ = [
     "DENSE_DIM_CAP",
@@ -396,16 +399,29 @@ def _orbit_gap(bloch, nk: int, m: int, elements) -> float:
     return min(float(np.min(np.abs(v))) for v in dense_spectra(bloch, points[low == images[0]]))
 
 
-def slab_bloch(model: HoppingModel, direction: int, depth: int):
-    """h(k_parallel) for a slab: its dense blocks B_delta, summed with phases."""
+def slab_bloch(model: HoppingModel, direction: int, depth: int, gauge=None):
+    """h(k_parallel) for a slab: its dense blocks B_delta summed with phases
+    e^{ik.delta} as one product.  With ``gauge`` = (label, V) from
+    ``real_gauge``, V must be unitary within ``RELATION_TOL`` (so the spectrum
+    is kept), the blocks are those of the hoppings V^dag w(delta) V, rotated
+    once, and h(k) is the real part of their sum, which must be real within
+    1e-12 * bound(h(k)), or this raises."""
+    if gauge is not None:
+        label, v = gauge
+        if np.max(np.abs(v @ v.conj().T - np.eye(model.norb))) > RELATION_TOL:
+            raise RuntimeError(f"{label} gauge is not unitary, so it would change the spectrum")
+        model = HoppingModel(model.dimension, model.norb,
+                             {d: v.conj().T @ w @ v for d, w in model.hoppings.items()})
     asm = Assembly(model, slab_geometry(model.dimension, direction, depth))
-    blocks = asm.dense_blocks()
+    blocks = asm.dense_blocks().reshape(len(asm.periodic_deltas), -1)
 
     def h(kpar):
-        out = np.zeros((asm.dim, asm.dim), dtype=complex)
-        for amp, block in zip(asm.phases(kpar), blocks):
-            out += amp * block
-        return out
+        out = (asm.phases(kpar) @ blocks).reshape(asm.dim, asm.dim)
+        if gauge is None:
+            return out
+        if abs(out.imag).max() > 1e-12 * spectral_norm_bound(out):
+            raise RuntimeError(f"{label} leaves h(k={np.round(kpar, 3).tolist()}) complex in its real gauge")
+        return out.real
 
     return h
 
@@ -413,9 +429,13 @@ def slab_bloch(model: HoppingModel, direction: int, depth: int):
 def slab_gap_scan(model: HoppingModel, direction: int, depth: int, nk: int) -> float:
     """min |E| of a slab open along ``direction`` over an nk^m grid of its
     m periodic directions (the faces of a 3D model, the edges of a 2D one),
-    at one momentum per orbit of its covariant k-maps, spot-checked."""
-    elements = covariant_elements(model, slab_geometry(model.dimension, direction, depth))
-    return _orbit_gap(slab_bloch(model, direction, depth), nk, model.dimension - 1, elements)
+    at one momentum per orbit of its covariant k-maps, spot-checked, in the
+    real gauge of ``real_gauge`` where the slab has one.  The covariant
+    elements are walked once, for both."""
+    geometry = slab_geometry(model.dimension, direction, depth)
+    elements = list(covariant_elements(model, geometry))
+    bloch = slab_bloch(model, direction, depth, real_gauge(model, geometry, elements))
+    return _orbit_gap(bloch, nk, model.dimension - 1, elements)
 
 
 def minimum_bulk_gap(model: HoppingModel, resolution: int) -> float:

@@ -19,7 +19,6 @@ from itertools import permutations, product
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .fgab import ieye, imat
 from .models import Geometry, HoppingModel
@@ -257,16 +256,21 @@ def momentum_reversal(model: HoppingModel, geometry: Geometry) -> CovariantEleme
                  if not el.chiral and np.array_equal(el.k_map, -np.eye(len(el.k_map)))), None)
 
 
-def real_gauge(model: HoppingModel, geometry: Geometry) -> tuple[str, np.ndarray] | None:
-    """(label, V = sqrtm(U)) of the first antiunitary, non-chiral ``covariant_elements`` entry
-    with k-map +1 that fixes every site and has U conj(U) = 1, V checked unitary with V V^T = U,
-    so that V^dag H(k) V is real on each site block; or None."""
-    for el in covariant_elements(model, geometry):
+def real_gauge(model: HoppingModel, geometry: Geometry, elements=None) -> tuple[str, np.ndarray] | None:
+    """(label, V) of the first antiunitary, non-chiral entry of ``elements`` (the
+    geometry's ``covariant_elements`` when None) with k-map +1 that fixes every site
+    and has U conj(U) = 1, so that V^dag H(k) V is real on each site block; or None.
+    Such a U is symmetric and unitary, so Re U and Im U are commuting real symmetric
+    matrices: one orthogonal Q, the eigenvectors of Re U + c Im U (c generic),
+    diagonalizes U, and V = Q diag(Q^T U Q)^(1/2) Q^T, U's principal square root,
+    checked unitary with V V^T = U."""
+    for el in covariant_elements(model, geometry) if elements is None else elements:
         u, eye = el.unitary, np.eye(len(el.unitary))
         if (el.antiunitary and not el.chiral and np.array_equal(el.k_map, np.eye(len(el.k_map)))
                 and np.array_equal(el.site_perm, np.arange(len(el.site_perm)))
                 and np.max(np.abs(u @ u.conj() - eye)) <= RELATION_TOL):
-            v = scipy.linalg.sqrtm(u)
+            q = np.linalg.eigh(u.real + 0.7548776662 * u.imag)[1]  # c splits U's distinct eigenvalues
+            v = (q * np.sqrt(np.diagonal(q.T @ u @ q))) @ q.T
             if max(np.max(np.abs(v @ v.conj().T - eye)), np.max(np.abs(v @ v.T - u))) <= RELATION_TOL:
                 return el.label, v
     return None

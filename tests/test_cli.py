@@ -34,6 +34,7 @@ from hotilab.ktheory import PRESET_NAMES
 from hotilab.models import builtin_model, cube_geometry, instantiate, slab_geometry
 from hotilab.patterns import BUILTIN_SEEDS, builtin_seeds, pattern_to_dict
 from hotilab.spectral import slab_bloch
+from hotilab.symmetry import real_gauge
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -261,17 +262,25 @@ def test_hash_ignores_out_and_name_but_tracks_solver():
 # slab assembly convention
 
 def test_slab_bloch_matches_real_space_assembly():
+    # where the scan finds a real gauge V, h(k) is D^dag H(k) D with D = 1 (x) V
     rng = np.random.default_rng(20260814)
     models = [builtin_model(name, 0.5) for name in ("ham1", "ham2")]
+    models.append(builtin_model("ham1", 0.0))  # a real gauge on every face
     models.append(builtin_model("chiral-quarter-uC"))  # 2D: edge slabs
+    gauged = 0
     for model in models:
         for direction in range(model.dimension):
             geo = slab_geometry(model.dimension, direction, 5)
-            h = slab_bloch(model, direction, 5)
+            gauge = real_gauge(model, geo)
+            h = slab_bloch(model, direction, 5, gauge)
+            rot = np.eye(len(geo.sites()) * model.norb)
+            if gauge is not None:
+                rot, gauged = np.kron(np.eye(len(geo.sites())), gauge[1]), gauged + 1
             for _ in range(3):
                 k = rng.uniform(-np.pi, np.pi, model.dimension - 1)
                 dense = instantiate(model, geo, tuple(k)).dense()
-                assert np.max(np.abs(dense - h(k))) < 1e-12
+                assert np.max(np.abs(rot.conj().T @ dense @ rot - h(k))) < 1e-12
+    assert gauged == 6  # ham2's xy face, ham1's three faces at gamma 0, both quarter edges
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +305,8 @@ def test_run_writes_panels_and_manifest(tmp_path):
     assert sorted(manifest["files"]) == names
     assert set(manifest["versions"]) == {"artifact", "numpy", "python", "scipy"}
     assert "bands:ham1-g0.5-wire6" in summary
+    assert summary["bands:ham1-g0-slab-yz5"]["real_gauge"] == "S=(x,-y,-z),anti=1,chiral=0"
+    assert summary["bands:ham1-g0.5-slab-yz5"]["real_gauge"] is None
 
 
 def test_rerun_is_bit_identical(tmp_path):
@@ -623,6 +634,33 @@ def test_kss_rejects_a_matrix_off_its_declared_shape(tmp_path, capsys, table, ke
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{table} {key!r} needs {shape} entries" in captured.err
+
+
+@pytest.mark.parametrize("path, rows, message", [
+    (("boundary", "1,1"), [[1.7, 0, 1, 0], [-1, 0, 1, 0]], "boundary '1,1' has the entry 1.7"),
+    (("boundary", "1,1"), [["1", 0, 1, 0], [-1, 0, 1, 0]], "boundary '1,1' has the entry '1'"),
+    (("boundary", "1,1"), [[True, 0, 1, 0], [-1, 0, 1, 0]], "boundary '1,1' has the entry True"),
+    (("boundary", "1,1"), [[1.0, 0, 1, 0], [-1, 0, 1, 0]], "boundary '1,1' has the entry 1.0"),
+    (("second_order", "0"), [[0, 1.0], [0, 0]], "second_order '0' has the entry 1.0"),
+    (("second_order", "0"), [[0, True], [0, 0]], "second_order '0' has the entry True"),
+    (("strata", "0,0", "relations"), [[True], [0]], "strata '0,0' relations has the entry True"),
+    (("strata", "0,0", "relations"), [[2.0], [0]], "strata '0,0' relations has the entry 2.0"),
+], ids=["float", "string", "bool", "integral-float", "second-order-float", "second-order-bool",
+        "relations-bool", "relations-float"])
+def test_kss_rejects_a_matrix_entry_that_is_no_integer(tmp_path, capsys, path, rows, message):
+    from hotilab.ktheory import cofiltration_to_dict, preset_cofiltration
+
+    doc = cofiltration_to_dict(preset_cofiltration("square-inversion"))
+    table = doc
+    for key in path[:-1]:
+        table = table[key]
+    table[path[-1]] = rows
+    file = tmp_path / "cd.json"
+    file.write_text(json.dumps(doc))
+    assert main(["kss", str(file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 def test_transversal_subcommand_counts(tmp_path, capsys):

@@ -517,6 +517,46 @@ def test_gap_scan_rejects_a_wrong_k_map(monkeypatch):
         slab_gap_scan(model, 0, 4, 12)
 
 
+# (model, gamma, open direction, the label of real_gauge's pick): the four
+# slab faces on which the gap scan runs in real arithmetic
+GAUGE_FACES = [
+    ("ham2", 0.5, 2, "S=(-x,-y,z),anti=1,chiral=0"),
+    ("ham1", 0.0, 0, "S=(x,-y,-z),anti=1,chiral=0"),
+    ("ham1", 0.0, 1, "S=(-x,y,-z),anti=1,chiral=0"),
+    ("ham1", 0.0, 2, "S=(-x,-y,z),anti=1,chiral=0"),
+]
+
+
+@pytest.mark.parametrize("mname, gamma, direction, label", GAUGE_FACES)
+def test_real_gauge_gap_scan_matches_complex_scan(monkeypatch, mname, gamma, direction, label):
+    model, depth, nk = builtin_model(mname, gamma), 4, 12
+    geo = slab_geometry(3, direction, depth)
+    assert spectral.real_gauge(model, geo)[0] == label
+    made, bloch = [], spectral.slab_bloch
+    monkeypatch.setattr(spectral, "slab_bloch", lambda *args: made.append(bloch(*args)) or made[-1])
+    real, real_calls = _record_gap_scan(monkeypatch, lambda: slab_gap_scan(model, direction, depth, nk))
+    assert made[0](np.array([0.3, -1.1])).dtype == float  # the scan ran in real arithmetic
+    monkeypatch.undo()
+    monkeypatch.setattr(spectral, "real_gauge", lambda *args: None)
+    full, full_calls = _record_gap_scan(monkeypatch, lambda: slab_gap_scan(model, direction, depth, nk))
+    assert len(real_calls) == len(full_calls)
+    assert all(np.array_equal(a, b) for a, b in zip(real_calls, full_calls))
+    assert abs(real - full) <= 1e-12 * spectral_norm_bound(Assembly(model, geo).matrix((0.0, 0.0)))
+
+
+@pytest.mark.parametrize("scale, match", [(None, "complex"), (2.0, "not unitary")],
+                         ids=["not-real", "not-unitary"])
+def test_gap_scan_rejects_a_wrong_real_gauge(monkeypatch, scale, match):
+    # the identity leaves the ham2 xy slab's h(k) complex; twice the true V
+    # makes it real but scales its spectrum by four
+    model, geo = builtin_model("ham2"), slab_geometry(3, 2, 4)
+    label, v = spectral.real_gauge(model, geo)
+    wrong = np.eye(4, dtype=complex) if scale is None else scale * v
+    monkeypatch.setattr(spectral, "real_gauge", lambda *args: ("wrong", wrong))
+    with pytest.raises(RuntimeError, match=match):
+        slab_gap_scan(model, 2, 4, 6)
+
+
 def test_gap_scans_without_covariant_elements_solve_every_momentum(monkeypatch):
     # the seeded symmetry-broken model of the band-scan fallback test
     base = builtin_model("ham1")
