@@ -454,7 +454,7 @@ def _symmetry_report(model: HoppingModel, name: str) -> dict:
            "covariant": el is not None, "solutions": el.solutions if el else 0,
            "covariance_defect": None, "relations_ok": None, "relation_defect": None}
     if el is not None and el.solutions == 1:
-        action = SymmetryAction(el.u, el.s, el.anti, el.chiral, name)
+        action = SymmetryAction(el, name)
         rel_ok, rel_defect = verify_projective_relations(action)
         rep.update(covariance_defect=float(check_covariance(model, action)[1]),
                    relations_ok=bool(rel_ok), relation_defect=float(rel_defect))
@@ -596,7 +596,7 @@ class Scans:
         vals, vecs, weights = _near_zero_modes(model, geometry, self.solver)
         sites = geometry.site_array()
         edge = np.flatnonzero((np.minimum(sites, side - 1 - sites) <= 2).sum(axis=1) >= 2)
-        edge_fraction = RegionPartition(("edge",), {"edge": edge}, model.norb).weights(vecs)[0]
+        edge_fraction = RegionPartition({"edge": edge}, model.norb).weights(vecs)[0]
         if self.outdir is not None:
             _write_modes_csv(
                 self.outdir / f"hinge-modes-{model.name}.csv", "mode", vals,

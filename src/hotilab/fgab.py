@@ -28,9 +28,11 @@ import numpy as np
 
 __all__ = [
     "imat",
+    "json_integers",
     "izeros",
     "ieye",
     "smith_normal_form",
+    "smith_diagonal",
     "hermite_column_form",
     "solve_integer",
     "kernel_basis",
@@ -58,6 +60,17 @@ def imat(data) -> np.ndarray:
         if not isinstance(x, (int, np.integer)):
             raise TypeError(f"non-integer entry {x!r}")
     return np.vectorize(int, otypes=[object])(a) if a.size else a
+
+
+def json_integers(value, entry: str):
+    """``value`` as read from JSON, an integer or nested lists of them; raise
+    unless every entry is a Python int and no bool, since a float, string or
+    bool would otherwise convert silently.  Model, pattern and cofiltration
+    files are all read through this rule."""
+    for v in np.array(value, dtype=object).ravel():
+        if type(v) is not int:
+            raise ValueError(f"{entry} has the entry {v!r}; expected an integer")
+    return value
 
 
 def izeros(n: int, m: int) -> np.ndarray:
@@ -159,12 +172,15 @@ def smith_normal_form(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _from_rows(u, rows, rows), _from_rows(d, rows, cols), _from_rows(zip(*vt), cols, cols)
 
 
+def smith_diagonal(d) -> tuple[int, ...]:
+    """The nonzero entries of a Smith form's diagonal ``d``, in order: the
+    invariant factors of the lattice spanned by the factored matrix's columns."""
+    return tuple(int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
+
+
 def integer_rank(m) -> int:
     m = _as_imat(m)
-    if m.size == 0:
-        return 0
-    _, d, _ = smith_normal_form(m)
-    return sum(1 for i in range(min(d.shape)) if d[i, i] != 0)
+    return len(smith_diagonal(smith_normal_form(m)[1])) if m.size else 0
 
 
 def hermite_column_form(m) -> np.ndarray:
@@ -245,8 +261,7 @@ def kernel_basis(m) -> np.ndarray:
     if k == 0:
         return izeros(k, 0)
     _, d, v = smith_normal_form(m)
-    r = sum(1 for i in range(min(n, k)) if d[i, i] != 0)
-    return v[:, r:]
+    return v[:, len(smith_diagonal(d)):]
 
 
 # ---------------------------------------------------------------------------
@@ -284,16 +299,11 @@ class FGAbelianGroup:
     # -- structure ---------------------------------------------------------
     @property
     def rank(self) -> int:
-        _, d, _ = self._snf
-        r = sum(1 for i in range(min(d.shape)) if d[i, i] != 0)
-        return self.ngens - r
+        return self.ngens - len(smith_diagonal(self._snf[1]))
 
     @property
     def torsion(self) -> tuple[int, ...]:
-        _, d, _ = self._snf
-        return tuple(
-            int(d[i, i]) for i in range(min(d.shape)) if d[i, i] not in (0, 1)
-        )
+        return tuple(x for x in smith_diagonal(self._snf[1]) if x != 1)
 
     def canonical(self) -> tuple[int, tuple[int, ...]]:
         return (self.rank, self.torsion)

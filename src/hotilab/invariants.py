@@ -167,12 +167,7 @@ def _edge_gap(model: HoppingModel, depth: int) -> float:
     return min(slab_gap_scan(model, d, depth, 40) for d in (0, 1))
 
 
-def corner_index(
-    model: HoppingModel,
-    side: int = 24,
-    nev: int = 8,
-    seed: int = 0,
-) -> CornerReport:
+def corner_index(model: HoppingModel, side: int, nev: int, seed: int = 0) -> CornerReport:
     """Graded count of zero modes bound to the corner of a quarter plane.
 
     On any finite box the total graded zero-mode count vanishes identically
@@ -212,8 +207,7 @@ def corner_index(
         warnings.append("window filled with zero modes; counts may be partial")
     corner = weights[part.names.index("corner")]
     x, y = geo.site_array().T
-    box = RegionPartition(("box",), {"box": np.flatnonzero((x < CORNER_BOX) & (y < CORNER_BOX))},
-                          model.norb)
+    box = RegionPartition({"box": np.flatnonzero((x < CORNER_BOX) & (y < CORNER_BOX))}, model.norb)
     grading = np.tile(np.real(np.diag(model.chirality)), len(x))
     gamma_vals, index = _graded_count(vecs[:, zero & (corner > WEIGHT_THRESHOLD)], grading)
     return CornerReport(
@@ -227,7 +221,7 @@ def corner_index(
     )
 
 
-def face_layer_index(side: int = 24) -> int:
+def face_layer_index(side: int) -> int:
     """Graded corner zero-mode count of the edge-flow partial isometry.
 
     V shifts right along the bottom edge row, up along the left edge column
@@ -254,8 +248,7 @@ def face_layer_index(side: int = 24) -> int:
     # the corner box and the rest (of both chiral blocks, one orbital per
     # entry) so the filter sees unmixed modes
     in_box = np.tile((x < CORNER_BOX) & (y < CORNER_BOX), 2)
-    part = RegionPartition(("box", "rest"), {"box": np.flatnonzero(in_box),
-                                             "rest": np.flatnonzero(~in_box)}, 1)
+    part = RegionPartition({"box": np.flatnonzero(in_box), "rest": np.flatnonzero(~in_box)}, 1)
     z = _disentangle_clusters(vals[zero], vecs[:, zero], part)
     return _graded_count(z[:, part.weights(z)[0] > 0.9], np.repeat([1.0, -1.0], n))[1]
 
@@ -287,13 +280,7 @@ class HingeReport:
         }
 
 
-def hinge_spectral_flow(
-    model: HoppingModel,
-    side: int = 28,
-    nk: int = 101,
-    window: int = 16,
-    seed: int = 0,
-) -> HingeReport:
+def hinge_spectral_flow(model: HoppingModel, side: int, nk: int, window: int, seed: int = 0) -> HingeReport:
     """Signed zero crossings of wire bands, attributed to hinge regions.
 
     Between adjacent momenta, states inside |E| < ENERGY_WINDOW are paired

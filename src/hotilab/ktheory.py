@@ -46,7 +46,9 @@ from .fgab import (
     ieye,
     imat,
     izeros,
+    json_integers,
     kernel_basis,
+    smith_diagonal,
     smith_normal_form,
     solve_integer,
 )
@@ -79,12 +81,9 @@ PRESET_NAMES = (
 
 
 def _lattice_invariants(lat) -> tuple[int, ...]:
-    """Invariant factors of the subgroup spanned by ``lat`` columns."""
-    basis = hermite_column_form(lat)
-    if basis.shape[1] == 0:
-        return ()
-    d = smith_normal_form(basis)[1]
-    return tuple(int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0)
+    """Invariant factors of the subgroup spanned by ``lat`` columns (none,
+    with no Smith form taken, when every column is zero)."""
+    return smith_diagonal(smith_normal_form(lat)[1]) if np.any(lat) else ()
 
 
 # ---------------------------------------------------------------------------
@@ -735,21 +734,14 @@ def _group_to_dict(g: FGAbelianGroup) -> dict:
     }
 
 
-def _check_integers(rows, entry: str) -> None:
-    """Raise unless every entry of the nested list ``rows`` is a Python int: a
-    float, string or bool read from JSON would otherwise convert silently."""
-    for v in np.array(rows, dtype=object).ravel():
-        if type(v) is not int:
-            raise ValueError(f"{entry} has the entry {v!r}; matrix entries must be integers")
-
-
 def _group_from_dict(d: dict, entry: str) -> FGAbelianGroup:
-    _check_integers(d.get("relations") or [], f"{entry} relations")
-    rel = imat(d["relations"]) if d.get("relations") else izeros(d["ngens"], 0)
+    ngens = json_integers(d["ngens"], f"{entry} ngens")
+    json_integers(d.get("relations") or [], f"{entry} relations")
+    rel = imat(d["relations"]) if d.get("relations") else izeros(ngens, 0)
     if rel.size == 0:
-        rel = izeros(d["ngens"], 0)
+        rel = izeros(ngens, 0)
     labels = tuple(d["labels"]) if d.get("labels") else None
-    return FGAbelianGroup(d["ngens"], rel, labels)
+    return FGAbelianGroup(ngens, rel, labels)
 
 
 def cofiltration_to_dict(cd: CofiltrationData) -> dict:
@@ -769,7 +761,7 @@ def _mat_from_rows(rows, nrows: int, ncols: int, entry: str) -> np.ndarray:
     # rebuild against the declared shape, which every row must fill
     if len(rows) != nrows or any(len(row) != ncols for row in rows):
         raise ValueError(f"{entry} needs {nrows} rows of {ncols} entries, its declared shape")
-    _check_integers(rows, entry)
+    json_integers(rows, entry)
     m = izeros(nrows, ncols)
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
@@ -796,5 +788,6 @@ def cofiltration_from_dict(data: dict) -> CofiltrationData:
         for eps, m in data.get("second_order", {}).items()
     }
     return CofiltrationData(
-        int(data["length"]), strata, boundary, second_order=second, name=data.get("name", "")
+        json_integers(data["length"], "length"), strata, boundary, second_order=second,
+        name=data.get("name", "")
     )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .fgab import json_integers
 from .patterns import Pattern, half_space, quarter_pattern
 
 __all__ = [
@@ -208,10 +209,6 @@ class RealSpaceHamiltonian:
     momentum: tuple[float, ...]
     sites: list[tuple[int, ...]]
     matrix: sp.csr_matrix
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
@@ -417,11 +414,15 @@ def model_from_dict(d: dict) -> HoppingModel:
         if "gamma" in d and model.chirality is not None:
             raise ValueError(f"{model.name} takes no gamma")
         return model
+    name = d.get("name", "")
+    if name in BUILTIN_MODELS:  # a built-in name would select that model's symmetry class
+        raise ValueError(f"name {name!r} is a built-in model's; a model of custom hoppings takes its own")
     hops = {}
     for h in d["hoppings"]:
         w = np.array(
             [[complex(re, im) for re, im in row] for row in h["matrix"]],
             dtype=complex,
         )
-        hops[tuple(h["delta"])] = w
-    return HoppingModel(int(d["dimension"]), int(d["norb"]), hops, name=d.get("name", ""))
+        hops[tuple(json_integers(h["delta"], "delta"))] = w
+    return HoppingModel(json_integers(d["dimension"], "dimension"), json_integers(d["norb"], "norb"),
+                        hops, name=name)

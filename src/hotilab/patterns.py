@@ -22,6 +22,7 @@ from .fgab import (
     ieye,
     imat,
     integer_rank,
+    json_integers,
     kernel_basis,
 )
 
@@ -177,8 +178,8 @@ class Pattern:
         return Pattern(self.dimension, tuple((n, bb) for (n, _), bb in zip(cons, b)))
 
 
-def half_space(normal, bound: int = 0) -> Pattern:
-    return Pattern(len(tuple(normal)), ((tuple(normal), bound),))
+def half_space(normal) -> Pattern:
+    return Pattern(len(tuple(normal)), ((tuple(normal), 0),))
 
 
 def quarter_pattern(dimension: int = 2) -> Pattern:
@@ -357,9 +358,6 @@ class Filtration:
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(level) for level in self.levels)
 
-    def __len__(self) -> int:
-        return len(self.levels)
-
 
 def codimension_filtration(transversal: Transversal) -> Filtration:
     if not transversal.patterns:
@@ -389,6 +387,7 @@ def pattern_to_dict(p: Pattern) -> dict:
 
 def pattern_from_dict(d: dict) -> Pattern:
     cons = tuple(
-        (tuple(c["normal"]), int(c.get("bound", 0))) for c in d.get("constraints", [])
+        (tuple(json_integers(c["normal"], "normal")), json_integers(c.get("bound", 0), "bound"))
+        for c in d.get("constraints", [])
     )
-    return Pattern(int(d["dimension"]), cons)
+    return Pattern(json_integers(d["dimension"], "dimension"), cons)

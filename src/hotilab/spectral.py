@@ -172,11 +172,15 @@ def near_zero_states(h, nev: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray
 
 @dataclass
 class RegionPartition:
-    """Named site-index sets on a geometry, for spatial weights of states."""
+    """Named site-index sets on a geometry, for spatial weights of states;
+    ``names`` are the keys of ``site_indices``, in order."""
 
-    names: tuple[str, ...]
     site_indices: dict[str, np.ndarray]  # rows of geometry.site_array()
     norb: int
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(self.site_indices)
 
     def projector_diagonal(self, name: str, dim: int) -> np.ndarray:
         d = np.zeros(dim)
@@ -213,8 +217,7 @@ def wire_regions(geometry: Geometry, norb: int) -> RegionPartition:
         "face4": lo1 & ~lo2 & ~hi2,
     }
     masks["interior"] = ~np.logical_or.reduce(list(masks.values()))
-    regions = {name: np.flatnonzero(m) for name, m in masks.items()}
-    return RegionPartition(tuple(regions), regions, norb)
+    return RegionPartition({name: np.flatnonzero(m) for name, m in masks.items()}, norb)
 
 
 def corner_regions(geometry: Geometry, norb: int) -> RegionPartition:
@@ -227,7 +230,7 @@ def corner_regions(geometry: Geometry, norb: int) -> RegionPartition:
     for q in np.unique(quadrant, axis=0):
         label = "corner" if not q.any() else "quad" + "".join(map(str, q))
         regions[label] = np.flatnonzero((quadrant == q).all(axis=1))
-    return RegionPartition(tuple(regions), regions, norb)
+    return RegionPartition(regions, norb)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +278,15 @@ def _disentangle_clusters(
     return vecs
 
 
+def _real_in_gauge(h, bound: float, label: str, k):
+    """The real part of ``h``, H(k) in the real gauge of the element
+    ``label``; raise unless its imaginary part is within 1e-12 * ``bound``,
+    a norm bound of H(k)."""
+    if abs(h.imag).max() > 1e-12 * bound:
+        raise RuntimeError(f"{label} leaves H(k={np.round(k, 3).tolist()}) complex in its real gauge")
+    return h.real
+
+
 def _momentum_scan(
     model: HoppingModel,
     geometry: Geometry,
@@ -317,10 +329,9 @@ def _momentum_scan(
         if gauge is None:
             vals, vecs = near_zero_states(h, nwant, seed=seed)
         else:
-            hr, bound = rot.conj().T @ h @ rot, spectral_norm_bound(h)
-            if abs(hr.imag).max() > 1e-12 * bound:
-                raise RuntimeError(f"{gauge[0]} leaves H(k={at}) complex in its real gauge")
-            vals, vecs = near_zero_states(hr.real, nwant, seed=seed)
+            bound = spectral_norm_bound(h)
+            hr = _real_in_gauge(rot.conj().T @ h @ rot, bound, gauge[0], momenta[i])
+            vals, vecs = near_zero_states(hr, nwant, seed=seed)
             vecs = _fix_phases(rot @ vecs)
             _check_residual(h, vals, vecs, RESIDUAL_FACTOR * bound, f"{gauge[0]} gauge at k={at}")
         found = {i: vecs}
@@ -417,11 +428,7 @@ def slab_bloch(model: HoppingModel, direction: int, depth: int, gauge=None):
 
     def h(kpar):
         out = (asm.phases(kpar) @ blocks).reshape(asm.dim, asm.dim)
-        if gauge is None:
-            return out
-        if abs(out.imag).max() > 1e-12 * spectral_norm_bound(out):
-            raise RuntimeError(f"{label} leaves h(k={np.round(kpar, 3).tolist()}) complex in its real gauge")
-        return out.real
+        return out if gauge is None else _real_in_gauge(out, spectral_norm_bound(out), label, kpar)
 
     return h
 

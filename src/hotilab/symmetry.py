@@ -24,6 +24,7 @@ from .fgab import ieye, imat
 from .models import Geometry, HoppingModel
 
 __all__ = [
+    "Element",
     "SymmetryAction",
     "builtin_action",
     "BUILTIN_ACTIONS",
@@ -82,36 +83,33 @@ def generator_order(s, anti: int, chiral: int) -> int:
 
 @dataclass
 class SymmetryAction:
-    """Twisted action of Z_order generated by one element: ``unitary`` U on
-    orbitals, ``matrix`` S on displacements, conjugating when ``antiunitary``
-    and anticommuting with H when ``chiral``.  ``order`` is
-    ``generator_order`` of (S, anti, chiral), ``elements`` are the powers
-    e, g, g^2, ..., and ``cocycle`` maps a label pair (g^j, g^k) to tau with
+    """Twisted action of Z_order generated by one ``Element``: its U on
+    orbitals, S on displacements, conjugating when anti and anticommuting
+    with H when chiral.  ``order`` is ``generator_order`` of (S, anti,
+    chiral), ``elements`` are the powers e, g, g^2, ..., and ``cocycle``
+    maps a label pair (g^j, g^k) to tau with
     U_j conj^phi_j(U_k) = tau U_(j+k mod order)."""
 
-    unitary: np.ndarray
-    matrix: np.ndarray
-    antiunitary: bool = False
-    chiral: bool = False
+    generator: Element
     name: str = ""
     order: int = field(init=False)
     elements: tuple[Element, ...] = field(init=False)
     cocycle: dict[tuple[str, str], complex] = field(init=False)
 
     def __post_init__(self):
-        anti, chiral = int(self.antiunitary), int(self.chiral)
-        self.unitary, self.matrix = np.array(self.unitary, dtype=complex), imat(self.matrix)
-        n = self.order = generator_order(self.matrix, anti, chiral)
-        powers = [Element("e", ieye(len(self.matrix)), np.eye(len(self.unitary), dtype=complex), 0, 0)]
+        g = self.generator
+        g = self.generator = g._replace(s=imat(g.s), u=np.array(g.u, dtype=complex))
+        n = self.order = generator_order(g.s, g.anti, g.chiral)
+        powers = [Element("e", ieye(len(g.s)), np.eye(len(g.u), dtype=complex), 0, 0)]
         for j in range(1, n):
             prev = powers[-1]
-            powers.append(Element(f"g{'^' + str(j) if j > 1 else ''}", self.matrix @ prev.s,
-                                  self.unitary @ _maybe_conj(prev.u, anti),
-                                  (j * anti) % 2, (j * chiral) % 2))
+            powers.append(Element(f"g{'^' + str(j) if j > 1 else ''}", g.s @ prev.s,
+                                  g.u @ _maybe_conj(prev.u, g.anti),
+                                  (j * g.anti) % 2, (j * g.chiral) % 2))
         self.elements = tuple(powers)
         self.cocycle = {
-            (g.label, h.label): _scalar_ratio(g.u @ _maybe_conj(h.u, g.anti), powers[(j + k) % n].u)
-            for j, g in enumerate(powers) for k, h in enumerate(powers)
+            (a.label, b.label): _scalar_ratio(a.u @ _maybe_conj(b.u, a.anti), powers[(j + k) % n].u)
+            for j, a in enumerate(powers) for k, b in enumerate(powers)
         }
 
 
@@ -126,7 +124,7 @@ def verify_projective_relations(action: SymmetryAction):
     els, n, tau = action.elements, action.order, action.cocycle
     defect = 0.0
     for g in els:
-        defect = max(defect, float(np.max(np.abs(g.u @ g.u.conj().T - np.eye(len(action.unitary))))))
+        defect = max(defect, float(np.max(np.abs(g.u @ g.u.conj().T - np.eye(len(action.generator.u))))))
     for j, g in enumerate(els):
         for k, h in enumerate(els):
             gh = els[(j + k) % n]
@@ -159,7 +157,7 @@ def check_covariance(
     wtilde is the entrywise conjugate when g is antiunitary.  Returns
     (ok, defect) over all elements and displacements.
     """
-    if (model.dimension, model.norb) != (len(action.matrix), len(action.unitary)):
+    if (model.dimension, model.norb) != (len(action.generator.s), len(action.generator.u)):
         raise ValueError("model/action shape mismatch")
     defect = max(_element_defect(model, el) for el in action.elements)
     return defect <= tol, defect
@@ -283,7 +281,7 @@ def symmetrize(model: HoppingModel, action: SymmetryAction) -> HoppingModel:
     the fixed-point transform of the covariance equation.  Idempotent, and
     the identity on already-covariant models.
     """
-    if (model.dimension, model.norb) != (len(action.matrix), len(action.unitary)):
+    if (model.dimension, model.norb) != (len(action.generator.s), len(action.generator.u)):
         raise ValueError("model/action shape mismatch")
     els = action.elements  # a group: its images S_g delta are also its preimages
     deltas = {tuple((g.s @ d).tolist()) for g in els for d in model.hoppings}

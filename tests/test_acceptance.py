@@ -369,7 +369,7 @@ def _shifted_window(p, v, n, radius):
 def _solved_action(aname, mname, gamma):
     """The named action with the unitary solved from a model that has it."""
     el = builtin_action(aname, builtin_model(mname, gamma))
-    return SymmetryAction(el.u, el.s, el.anti, el.chiral, aname)
+    return SymmetryAction(el, aname)
 
 
 def test_symmetry_actions_and_idempotent_projection():

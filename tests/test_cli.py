@@ -419,7 +419,7 @@ def test_every_near_zero_solve_of_a_model_runs_in_the_scan_loop(tmp_path, monkey
         cfg = tiny_config(geometry=geometry, tasks=["spectrum"], solver={"nev": 4})
         run_config(validate_config(cfg), tmp_path / geometry["kind"])
     Scans(DEFAULT_SOLVER).cube("ham3-cube6", builtin_model("ham3"), cube_geometry(6))
-    invariants.corner_index(builtin_model("chiral-quarter-uC"), side=12)
+    invariants.corner_index(builtin_model("chiral-quarter-uC"), side=12, nev=8)
     assert callers == ["_momentum_scan"] * 4
 
 
@@ -504,6 +504,27 @@ def test_main_bulk_bands_exit_two(tmp_path, capsys, model):
     cfg_path.write_text(json.dumps(tiny_config(model=model, geometry={"kind": "bulk"})))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "config error at geometry:" in capsys.readouterr().err
+
+
+def test_run_invariants_on_a_wire_and_the_bulk(tmp_path):
+    # a wire gets its hinge flows and the model class's corner parity, the
+    # bulk its gap and, for the inversion class, the TRIM parity index
+    cfg = validate_config(tiny_config(
+        geometry=[{"kind": "wire", "side": 12}, {"kind": "bulk"}], tasks=["invariants"],
+        solver={"k_grid": 41, "window": 12, "bulk_grid": 8},
+    ))
+    summary = run_config(cfg, tmp_path)
+    wire, bulk = summary["invariants:ham1-g0.5-wire12"], summary["invariants:ham1-g0.5-bulk"]
+    flow = wire["hinge_flow"]
+    assert flow["flows"] == {"hinge1": 1, "hinge2": 0, "hinge3": -1, "hinge4": 0}
+    assert flow["kirchhoff_sum"] == 0 and flow["warnings"] == []
+    assert wire["corner_parity"] == {"symmetry_class": "inversion", "flows": [1, 0, -1, 0],
+                                     "constraint_ok": True, "parity": 1}
+    assert bulk["bulk_gap"] == pytest.approx(0.1339745962, abs=1e-10)
+    assert (bulk["trim"]["total"], bulk["trim"]["cs_parity"]) == (14, 1)
+    assert set(bulk["trim"]["plane_cherns"].values()) == {0}
+    for label, out in (("wire12", wire), ("bulk", bulk)):
+        assert json.loads((tmp_path / f"invariants-ham1-g0.5-{label}.json").read_text()) == out
 
 
 @pytest.mark.parametrize("geometry", [{"kind": "bulk"}, {"kind": "slab", "depth": 10}], ids=["bulk", "slab"])
@@ -636,6 +657,15 @@ def test_kss_rejects_a_matrix_off_its_declared_shape(tmp_path, capsys, table, ke
     assert f"{table} {key!r} needs {shape} entries" in captured.err
 
 
+def _replaced(doc, path, value):
+    """``doc`` with the entry at ``path`` (keys and list indices) set to ``value``."""
+    table = doc
+    for key in path[:-1]:
+        table = table[key]
+    table[path[-1]] = value
+    return doc
+
+
 @pytest.mark.parametrize("path, rows, message", [
     (("boundary", "1,1"), [[1.7, 0, 1, 0], [-1, 0, 1, 0]], "boundary '1,1' has the entry 1.7"),
     (("boundary", "1,1"), [["1", 0, 1, 0], [-1, 0, 1, 0]], "boundary '1,1' has the entry '1'"),
@@ -650,17 +680,74 @@ def test_kss_rejects_a_matrix_off_its_declared_shape(tmp_path, capsys, table, ke
 def test_kss_rejects_a_matrix_entry_that_is_no_integer(tmp_path, capsys, path, rows, message):
     from hotilab.ktheory import cofiltration_to_dict, preset_cofiltration
 
-    doc = cofiltration_to_dict(preset_cofiltration("square-inversion"))
-    table = doc
-    for key in path[:-1]:
-        table = table[key]
-    table[path[-1]] = rows
+    doc = _replaced(cofiltration_to_dict(preset_cofiltration("square-inversion")), path, rows)
     file = tmp_path / "cd.json"
     file.write_text(json.dumps(doc))
     assert main(["kss", str(file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def _input_file(tmp_path, command, path, value) -> list:
+    """The argv of ``command`` on a file whose entry at ``path`` is ``value``:
+    a cofiltration (kss), a quarter's seed patterns (transversal), or the
+    two-orbital model as a model file (check-symmetry) or as a run config's
+    ``model.custom`` (run, a bulk invariants task)."""
+    if command == "kss":
+        from hotilab.ktheory import cofiltration_to_dict, preset_cofiltration
+
+        doc = cofiltration_to_dict(preset_cofiltration("square-inversion"))
+    elif command == "transversal":
+        doc = {"patterns": [pattern_to_dict(p) for p in builtin_seeds("quarter")]}
+    else:
+        doc = json.loads((ROOT / "examples" / "two-orbital.json").read_text())
+    doc = _replaced(doc, path, value)
+    if command == "run":
+        doc = {"model": {"custom": doc}, "geometry": {"kind": "bulk"}, "tasks": ["invariants"],
+               "solver": {"bulk_grid": 4}}
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(doc))
+    action = ["inversion"] if command == "check-symmetry" else []
+    return [command, str(file), *action, "--out", str(tmp_path / "out")]
+
+
+# each of these used to load truncated by int(): a delta of 0.5 as 0, true as 1
+@pytest.mark.parametrize("command, path, value, field, message", [
+    ("kss", ("length",), 2.5, "kss", "length has the entry 2.5"),
+    ("kss", ("length",), True, "kss", "length has the entry True"),
+    ("kss", ("strata", "0,0", "ngens"), 2.0, "kss", "strata '0,0' ngens has the entry 2.0"),
+    ("transversal", ("patterns", 0, "constraints", 0, "normal"), [1.5, 0], "transversal.patterns",
+     "normal has the entry 1.5"),
+    ("transversal", ("patterns", 0, "constraints", 0, "bound"), 0.7, "transversal.patterns",
+     "bound has the entry 0.7"),
+    ("transversal", ("patterns", 0, "dimension"), 2.0, "transversal.patterns", "dimension has the entry 2.0"),
+    ("check-symmetry", ("hoppings", 0, "delta"), [0.5, 0, 0], "model", "delta has the entry 0.5"),
+    ("check-symmetry", ("hoppings", 0, "delta"), [True, 0, 0], "model", "delta has the entry True"),
+    ("check-symmetry", ("dimension",), 3.0, "model", "dimension has the entry 3.0"),
+    ("check-symmetry", ("norb",), 2.5, "model", "norb has the entry 2.5"),
+    ("run", ("hoppings", 0, "delta"), [-0.5, 0, 0], "model.custom", "delta has the entry -0.5"),
+    ("run", ("norb",), "2", "model.custom", "norb has the entry '2'"),
+], ids=["kss-length-float", "kss-length-bool", "kss-ngens-float", "pattern-normal", "pattern-bound",
+        "pattern-dimension", "model-delta-float", "model-delta-bool", "model-dimension", "model-norb",
+        "custom-delta", "custom-norb-string"])
+def test_input_files_read_integers_strictly(tmp_path, capsys, command, path, value, field, message):
+    assert main(_input_file(tmp_path, command, path, value)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"config error at {field}:" in captured.err and message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check-symmetry"])
+@pytest.mark.parametrize("name", ["ham1", "ham3", "chiral-quarter-uC"])
+def test_a_custom_model_takes_no_built_in_name(tmp_path, capsys, command, name):
+    # a built-in name selected that model's symmetry class: a bulk "ham1"
+    # was given a TRIM index, and a wire "ham3" C4T's corner parity
+    assert main(_input_file(tmp_path, command, ("name",), name)) == 2
+    err = capsys.readouterr().err
+    assert f"config error at {'model.custom' if command == 'run' else 'model'}:" in err
+    assert f"name {name!r} is a built-in model's" in err
 
 
 def test_transversal_subcommand_counts(tmp_path, capsys):

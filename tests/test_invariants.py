@@ -107,14 +107,14 @@ def test_chiral_block_requires_grading():
     # the corner count reads chirality eigenvalues, so a model without a
     # grading is refused before any solve
     with pytest.raises(ValueError, match="chirality grading"):
-        corner_index(two_band(-1.0))
+        corner_index(two_band(-1.0), side=24, nev=8)
 
 
 def test_corner_index_quarter_model():
     # side 16 is solved densely; side 24 (dimension 2304) takes the sparse
     # route on the exact kernel, in the quarter's real gauge
     for side in (16, 24):
-        rep = corner_index(builtin_model("chiral-quarter-uC"), side=side)
+        rep = corner_index(builtin_model("chiral-quarter-uC"), side=side, nev=8)
         assert rep.index == -1
         # one exact zero per corner of the finite box; only the origin one
         # passes the quadrant filter and contributes a chirality value
@@ -130,7 +130,7 @@ def test_corner_index_requires_gapped_edges():
     # the face model has a flat band of edge zeros; its corner count is
     # not defined and the precondition must say so
     with pytest.raises(RuntimeError, match="edge spectrum gap"):
-        corner_index(builtin_model("chiral-quarter-uF"), side=16)
+        corner_index(builtin_model("chiral-quarter-uF"), side=16, nev=8)
 
 
 def test_face_layer_index_is_minus_two():
@@ -269,7 +269,7 @@ def test_hinge_flow_rejects_a_wrong_map(monkeypatch):
 
 
 def test_hinge_flow_warns_when_no_band_crosses_zero():
-    rep = hinge_spectral_flow(builtin_model("ham2"), side=12, nk=9)
+    rep = hinge_spectral_flow(builtin_model("ham2"), side=12, nk=9, window=16)
     assert rep.flows == {"hinge1": 0, "hinge2": 0, "hinge3": 0, "hinge4": 0}
     assert rep.crossings == []
     assert any("every hinge flow is 0" in w for w in rep.warnings)

@@ -122,6 +122,24 @@ def test_perfbench_tracer_finds_every_layer_it_wraps():
     assert all(getattr(spectral, name) is fn for name, fn in originals.items())
 
 
+def test_perfbench_workloads_set_up_under_the_tracer(monkeypatch):
+    # the bench reaches hotilab by name: a renamed function, method or
+    # keyword breaks its traced set-up here, and uninstall restores every patch
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracer_module, workloads = (importlib.import_module(m) for m in ("tracer", "workloads"))
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        patched = list(tracer._restore)
+        for workload in workloads.WORKLOADS.values():
+            workload().setup(0)
+    finally:
+        tracer.uninstall()
+    assert patched and tracer.spans
+    for owner, attr, old in patched:
+        assert getattr(owner, attr) is old, attr
+
+
 def test_dense_phases_are_canonical():
     h = _wire_ham(side=6)
     from hotilab.spectral import _phase_pivot

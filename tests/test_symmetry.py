@@ -21,6 +21,7 @@ from hotilab.symmetry import (
     BUILTIN_ACTIONS,
     COVARIANCE_TOL,
     RELATION_TOL,
+    Element,
     SymmetryAction,
     builtin_action,
     check_covariance,
@@ -56,10 +57,15 @@ def _random_model(rng, dim, norb, deltas):
     return HoppingModel(dim, norb, hops)
 
 
+def _action(u, s, anti=0, chiral=0):
+    """The action generated by the given U, S and flags."""
+    return SymmetryAction(Element("g", s, u, anti, chiral))
+
+
 def _solved_action(aname, mname, gamma=0.5):
     """The named action with the unitary solved from a model that has it."""
     el = builtin_action(aname, builtin_model(mname, gamma))
-    return SymmetryAction(el.u, el.s, el.anti, el.chiral, aname)
+    return SymmetryAction(el, aname)
 
 
 def test_builtin_actions_verify():
@@ -142,7 +148,7 @@ def test_symmetrize_fixes_covariant_model():
 def test_symmetrize_group_order_cap():
     # a shear has no finite order, so no n up to the cap has S^n = 1
     with pytest.raises(ValueError, match="cap"):
-        SymmetryAction(np.eye(1, dtype=complex), ((1, 1), (0, 1)))
+        _action(np.eye(1, dtype=complex), ((1, 1), (0, 1)))
 
 
 def test_non_projective_matrices_rejected():
@@ -150,15 +156,15 @@ def test_non_projective_matrices_rejected():
     a = _solved_action("inversion", "ham1")
     bad = np.diag([1.0, 1.0, 1.0, 1.0 + 1e-3]).astype(complex)
     with pytest.raises(ValueError, match="proportional"):
-        SymmetryAction(bad, a.matrix)
+        SymmetryAction(a.generator._replace(u=bad))
 
 
 def test_point_group_validation():
     # S = diag(2, 1) is no lattice automorphism (|det| = 2): no power is 1
     with pytest.raises(ValueError):
-        SymmetryAction(np.eye(1, dtype=complex), ((2, 0), (0, 1)))
+        _action(np.eye(1, dtype=complex), ((2, 0), (0, 1)))
     # the order is derived from S, anti and chiral
-    assert SymmetryAction(np.eye(1, dtype=complex), ((0, -1), (1, 0))).order == 4
+    assert _action(np.eye(1, dtype=complex), ((0, -1), (1, 0))).order == 4
     assert [generator_order(*symmetry._ACTION_TABLE[name]) for name in BUILTIN_ACTIONS] == [
         2, 2, 4, 2, 2, 2]
 
@@ -338,7 +344,7 @@ def test_ham2_bulk_has_its_inversion():
     # ham2's inversion acts on its orbitals as s3 (x) s0, not as ham1's
     # s0 (x) s3; the finder solves it, and the phase rule makes it +s3 (x) s0
     model = builtin_model("ham2")
-    assert not check_covariance(model, SymmetryAction(WITNESS["inversion"], S_INVERSION))[0]
+    assert not check_covariance(model, _action(WITNESS["inversion"], S_INVERSION))[0]
     inv = [el for el in covariant_elements(model, bulk_geometry(3))
            if not el.antiunitary and not el.chiral and np.array_equal(el.k_map, -np.eye(3))]
     assert len(inv) == 1
@@ -431,7 +437,7 @@ def _report(mname, aname, gamma):
 
 def _witness_covariant(mname, aname, gamma):
     s, anti, chiral = symmetry._ACTION_TABLE[aname]
-    action = SymmetryAction(WITNESS[aname], s, anti, chiral)
+    action = _action(WITNESS[aname], s, anti, chiral)
     return bool(check_covariance(builtin_model(mname, gamma), action)[0])
 
 
